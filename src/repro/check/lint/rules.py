@@ -462,7 +462,7 @@ HOT_PACKAGES: Tuple[str, ...] = (
 #: functions where a full rescan is the *point* (one-time setup and
 #: verification code), exempt from PERF001
 _COLD_NAMES = frozenset({"__init__", "prepare"})
-_COLD_PREFIXES = ("check_", "_build", "enable_", "_sanitize")
+_COLD_PREFIXES = ("check_", "_build", "_sanitize")
 
 
 def _in_hot_path(module: str) -> bool:
@@ -482,9 +482,8 @@ class FullRescanRule(Rule):
     simulated event.  The repo's hot-path contract (DESIGN.md, "Modeled
     cost vs implementation speed") is to maintain such derived sets
     incrementally on state transitions and reserve full rescans for
-    setup (``__init__``/``prepare``/``_build*``/``enable_*``) and
-    verification (``check_*``/``_sanitize*``) code, where this rule
-    stays silent.
+    setup (``__init__``/``prepare``/``_build*``) and verification
+    (``check_*``/``_sanitize*``) code, where this rule stays silent.
     """
 
     code = "PERF001"

@@ -27,7 +27,8 @@ class Data:
     id:
         Dense index into :attr:`TaskGraph.data`.
     size:
-        Size in bytes.  The paper's base model uses a single common size.
+        Size in bytes, a whole number.  The paper's base model uses a
+        single common size.
     name:
         Optional human-readable label (e.g. ``"A[3]"``).
     """
@@ -95,9 +96,16 @@ class TaskGraph:
     # construction
     # ------------------------------------------------------------------
     def add_data(self, size: float, name: str = "") -> Data:
-        """Create a new datum of ``size`` bytes and return it."""
+        """Create a new datum of ``size`` bytes and return it.
+
+        Sizes are whole bytes: float sums and differences of integers
+        below 2**53 are exact in any order, which keeps the schedulers'
+        incremental byte counts equal to a fresh recomputation.
+        """
         if size <= 0:
             raise ValueError(f"data size must be positive, got {size}")
+        if not float(size).is_integer():
+            raise ValueError(f"data size must be whole bytes, got {size}")
         d = Data(id=len(self.data), size=float(size), name=name)
         self.data.append(d)
         self._users.append([])

@@ -127,12 +127,21 @@ def _run_indexed_cell(i: int) -> Tuple[int, Measurement]:
 
 
 def _teardown_pool(pool: ProcessPoolExecutor) -> None:
-    """Abandon a wedged/broken pool without waiting on its workers."""
+    """Abandon a wedged/broken pool, killing and reaping its workers.
+
+    The worker list is read *before* ``shutdown``, which drops the
+    pool's reference to it; a hung worker left running would otherwise
+    keep the interpreter from exiting.
+    """
+    procs = list((getattr(pool, "_processes", None) or {}).values())
     pool.shutdown(wait=False, cancel_futures=True)
-    procs = getattr(pool, "_processes", None) or {}
-    for proc in list(procs.values()):
+    for proc in procs:
         try:
             proc.terminate()
+            proc.join(timeout=5.0)
+            if proc.is_alive():  # pragma: no cover - ignored SIGTERM
+                proc.kill()
+                proc.join()
         except Exception:  # pragma: no cover - best effort
             pass
 

@@ -83,10 +83,13 @@ class Scheduler:
 
     def on_fetch_issued(self, gpu: int, data_id: int) -> None:
         """A fetch of ``data_id`` into ``gpu`` was *issued* (space
-        reserved, transfer in flight).  From this moment ``data_id``
-        counts as *held* by ``gpu`` — schedulers that mirror the
-        held-set incrementally (DARTS's free-task index, Ready's
-        missing-bytes cache) update on this hook, not on completion.
+        reserved, transfer in flight), or space for output ``data_id``
+        was allocated there.  From this moment ``data_id`` counts as
+        *held* by ``gpu`` — schedulers that mirror the held-set
+        incrementally (DARTS's free-task index, Ready's missing-bytes
+        cache) update on this hook, not on completion.  With
+        :meth:`on_data_evicted` it sees every held-set change of a live
+        GPU.
 
         Must not call :meth:`charge_ops`: index maintenance replaces
         rescans whose modeled cost is charged at decision time by the

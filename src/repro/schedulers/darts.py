@@ -87,30 +87,27 @@ class Darts(Scheduler):
             and graph.working_set_bytes
             > self.threshold_activation_ratio * total_memory
         )
-        # Incremental free-task index (see _count_free_tasks for the
-        # definition it mirrors).  Gated off when the graph has outputs:
-        # ALLOCATED output slots enter the held-set without any event to
-        # update the index on.
-        self._use_index = not graph.has_outputs
-        if self._use_index:
-            self._build_index()
+        self._build_index()
 
     # ------------------------------------------------------------------
     # incremental free-task index
     # ------------------------------------------------------------------
     #
-    # Per GPU ``g`` and task ``t``:
+    # ``n(D)`` of Algorithm 5 counts the unowned, released tasks whose
+    # only input absent from held(g) is ``D``.  Per GPU ``g`` and task
+    # ``t``:
     #   _miss_count[g][t]  — number of t's inputs not in held(g);
     #   _miss_sum[g][t]    — sum of those input ids (when the count is 1
     #                        this identifies the single missing datum);
     #   _free_by_datum[g]  — datum d → set of *unowned* tasks whose only
     #                        missing input on g is d.
-    # Updated on fetch-issue/evict (held-set transitions) and on tasks
-    # entering/leaving the unowned pool, so ``_refill`` answers "how
-    # many free tasks would loading d unlock" with one len() instead of
-    # rescanning ``users_of``.  Dependency release is filtered at query
-    # time (``is_released`` flips as tasks finish, without any per-datum
-    # event).  ``check_index`` asserts equality with a fresh rescan.
+    # Updated on held-set transitions (fetch issue, output allocation,
+    # eviction) and on tasks entering/leaving the unowned pool, so
+    # ``_refill`` answers "how many free tasks would loading d unlock"
+    # with one len() instead of rescanning ``users_of``.  Dependency
+    # release is filtered at query time (``is_released`` flips as tasks
+    # finish, without any per-datum event).  ``check_index`` asserts
+    # equality with a fresh rescan.
     def _build_index(self) -> None:
         view = self.view
         graph = view.graph
@@ -150,8 +147,6 @@ class Darts(Scheduler):
 
     def check_index(self) -> None:
         """Assert the index equals a from-scratch recomputation (tests)."""
-        if not self._use_index:
-            return
         view = self.view
         graph = view.graph
         for g in range(view.n_gpus):
@@ -191,10 +186,9 @@ class Darts(Scheduler):
         inmem = self.view.held(gpu)
         planned = self._planned[gpu]
         threshold = self.threshold if self._threshold_active else None
-        use_index = self._use_index
         deps = self.view.has_dependencies
         not_in_mem = self._data_not_in_mem[gpu]
-        idx = self._free_by_datum[gpu] if use_index else None
+        idx = self._free_by_datum[gpu]
 
         n_max = 0
         candidates: List[int] = []
@@ -218,16 +212,13 @@ class Darts(Scheduler):
                 continue
             scanned += 1
             self.charge_ops(len(graph.users_of(d)))
-            if use_index:
-                s = idx.get(d)
-                if not s:
-                    n_d = 0
-                elif deps:
-                    n_d = sum(1 for t in s if self.view.is_released(t))
-                else:
-                    n_d = len(s)
+            s = idx.get(d)
+            if not s:
+                n_d = 0
+            elif deps:
+                n_d = sum(1 for t in s if self.view.is_released(t))
             else:
-                n_d = self._count_free_tasks(d, inmem)
+                n_d = len(s)
             if n_d > n_max:
                 n_max = n_d
                 candidates = [d]
@@ -241,20 +232,16 @@ class Darts(Scheduler):
         if n_max > 0:
             d_opt = self._select_candidate(candidates)
             self.charge_ops(len(graph.users_of(d_opt)))
-            if use_index:
-                s = idx.get(d_opt, set())
-                # users_of order, exactly like the rescan produced
-                free = [
-                    t
-                    for t in graph.users_of(d_opt)
-                    if t in s and (not deps or self.view.is_released(t))
-                ]
-            else:
-                free = self._free_tasks(d_opt, inmem)
+            s = idx.get(d_opt, set())
+            # users_of order, not set order: the plan must be deterministic
+            free = [
+                t
+                for t in graph.users_of(d_opt)
+                if t in s and (not deps or self.view.is_released(t))
+            ]
             for t in free:
                 self._unowned.discard(t)
-                if use_index:
-                    self._index_remove_task(t)
+                self._index_remove_task(t)
                 planned.append(t)
             self._data_not_in_mem[gpu].discard(d_opt)
             return planned.popleft()
@@ -272,27 +259,6 @@ class Darts(Scheduler):
             return None
         self._take(gpu, task)
         return task
-
-    def _count_free_tasks(self, d: int, inmem: Set[int]) -> int:
-        """``n(D)``: unowned tasks whose only absent input is ``d``."""
-        graph = self.view.graph
-        n = 0
-        for t in graph.users_of(d):
-            if t not in self._unowned or not self.view.is_released(t):
-                continue
-            if all(x in inmem or x == d for x in graph.inputs_of(t)):
-                n += 1
-        return n
-
-    def _free_tasks(self, d: int, inmem: Set[int]) -> List[int]:
-        graph = self.view.graph
-        return [
-            t
-            for t in graph.users_of(d)
-            if t in self._unowned
-            and self.view.is_released(t)
-            and all(x in inmem or x == d for x in graph.inputs_of(t))
-        ]
 
     def _select_candidate(self, candidates: List[int]) -> int:
         """Among equally-unlocking data, prefer the most used overall."""
@@ -341,8 +307,7 @@ class Darts(Scheduler):
     def _take(self, gpu: int, task: int) -> None:
         """Direct allocation (Algorithm 5 line 13)."""
         self._unowned.discard(task)
-        if self._use_index:
-            self._index_remove_task(task)
+        self._index_remove_task(task)
         for d in self.view.graph.inputs_of(task):
             self._data_not_in_mem[gpu].discard(d)
 
@@ -360,8 +325,6 @@ class Darts(Scheduler):
     def on_fetch_issued(self, gpu: int, data_id: int) -> None:
         """``data_id`` joins ``gpu``'s held-set: one less missing input
         for each of its users there."""
-        if not self._use_index:
-            return
         mc = self._miss_count[gpu]
         ms = self._miss_sum[gpu]
         idx = self._free_by_datum[gpu]
@@ -395,29 +358,27 @@ class Darts(Scheduler):
             if t in self._executed or t in self._unowned:
                 continue
             self._unowned.add(t)
-            if self._use_index:
-                self._index_add_task(t)
+            self._index_add_task(t)
 
     def on_data_evicted(self, gpu: int, data_id: int) -> None:
         """Algorithm 6 line 8: un-reserve planned tasks needing the victim."""
         self._data_not_in_mem[gpu].add(data_id)
         graph = self.view.graph
-        if self._use_index:
-            mc = self._miss_count[gpu]
-            ms = self._miss_sum[gpu]
-            idx = self._free_by_datum[gpu]
-            unowned = self._unowned
-            for t in graph.users_of(data_id):
-                old = mc[t]
-                mc[t] = old + 1
-                ms[t] += data_id
-                if t in unowned:
-                    if old == 0:
-                        idx.setdefault(data_id, set()).add(t)
-                    elif old == 1:
-                        s = idx.get(ms[t] - data_id)
-                        if s is not None:
-                            s.discard(t)
+        mc = self._miss_count[gpu]
+        ms = self._miss_sum[gpu]
+        idx = self._free_by_datum[gpu]
+        unowned = self._unowned
+        for t in graph.users_of(data_id):
+            old = mc[t]
+            mc[t] = old + 1
+            ms[t] += data_id
+            if t in unowned:
+                if old == 0:
+                    idx.setdefault(data_id, set()).add(t)
+                elif old == 1:
+                    s = idx.get(ms[t] - data_id)
+                    if s is not None:
+                        s.discard(t)
         planned = self._planned[gpu]
         if not planned:
             return
@@ -426,8 +387,7 @@ class Darts(Scheduler):
         for t in planned:
             if data_id in graph.inputs_of(t):
                 self._unowned.add(t)
-                if self._use_index:
-                    self._index_add_task(t)
+                self._index_add_task(t)
             else:
                 keep.append(t)
         if len(keep) != len(planned):

@@ -9,14 +9,13 @@ on top, which is how the static halves of mHFP/hMETIS+R behave at runtime.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.core.schedule import Schedule
-from repro.schedulers.base import Scheduler
-from repro.schedulers.ready import ReadyLists
+from repro.schedulers.ready import ReadyLists, ReadyScheduler
 
 
-class FixedSchedule(Scheduler):
+class FixedSchedule(ReadyScheduler):
     """Execute the given per-GPU task lists as-is (or with Ready/steal)."""
 
     name = "FIXED"
@@ -43,27 +42,7 @@ class FixedSchedule(Scheduler):
                 f"schedule targets {self.schedule.n_gpus} GPUs but the "
                 f"platform has {view.n_gpus}"
             )
-        self._lists = ReadyLists(view.n_gpus)
-        for k, order in enumerate(self.schedule.order):
-            self._lists.assign(k, order)
+        self._lists = ReadyLists(view, self.schedule.order)
 
     def on_device_lost(self, gpu: int, requeued: Sequence[int]) -> None:
         self._lists.drop_gpu(gpu, requeued)
-
-    def next_task(self, gpu: int) -> Optional[int]:
-        while True:
-            if self.use_ready:
-                task = self._lists.pop_ready(gpu, self.view)
-                self.charge_ops(self._lists.last_scanned)
-            else:
-                task = self._lists.pop_fifo(gpu, self.view)
-                self.charge_ops(1)
-            if task is not None:
-                return task
-            if self._lists.remaining(gpu):
-                return None  # blocked on dependencies, not out of work
-            if not (self.use_stealing and self._lists.steal_half(gpu)):
-                return None
-
-    def remaining_order(self, gpu: int) -> Sequence[int]:
-        return tuple(self._lists.remaining(gpu))

@@ -25,8 +25,7 @@ import heapq
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.problem import TaskGraph
-from repro.schedulers.base import Scheduler
-from repro.schedulers.ready import ReadyLists
+from repro.schedulers.ready import ReadyLists, ReadyScheduler
 
 
 class _Packages:
@@ -265,7 +264,7 @@ def balance_packages(
     return packages
 
 
-class Mhfp(Scheduler):
+class Mhfp(ReadyScheduler):
     """multi-GPU Hierarchical Fair Packing (paper Algorithm 4)."""
 
     name = "mHFP"
@@ -280,38 +279,10 @@ class Mhfp(Scheduler):
         memory = min(g.memory_bytes for g in view.platform.gpus)
         packages = hfp_pack(view.graph, memory, view.n_gpus)
         packages = balance_packages(packages, view.graph)
-        self._lists = ReadyLists(view.n_gpus)
-        for k, p in enumerate(packages):
-            self._lists.assign(k, p)
-        if self.use_ready:
-            self._lists.enable_incremental(view)
-
-    def on_fetch_issued(self, gpu: int, data_id: int) -> None:
-        self._lists.on_fetch_issued(gpu, data_id)
-
-    def on_data_evicted(self, gpu: int, data_id: int) -> None:
-        self._lists.on_data_evicted(gpu, data_id)
+        self._lists = ReadyLists(view, packages)
 
     def on_device_lost(self, gpu: int, requeued: Sequence[int]) -> None:
         self._lists.drop_gpu(gpu, requeued)
-
-    def next_task(self, gpu: int) -> Optional[int]:
-        while True:
-            if self.use_ready:
-                task = self._lists.pop_ready(gpu, self.view)
-                self.charge_ops(self._lists.last_scanned)
-            else:
-                task = self._lists.pop_fifo(gpu, self.view)
-                self.charge_ops(1)
-            if task is not None:
-                return task
-            if self._lists.remaining(gpu):
-                return None  # blocked on dependencies, not out of work
-            if not (self.use_stealing and self._lists.steal_half(gpu)):
-                return None
-
-    def remaining_order(self, gpu: int) -> Sequence[int]:
-        return tuple(self._lists.remaining(gpu))
 
     def packages(self) -> List[List[int]]:
         """The balanced packages (before any runtime stealing); for tests."""

@@ -18,11 +18,10 @@ import random
 from typing import Optional, Sequence
 
 from repro.partitioning.interface import PartitionResult, partition_tasks
-from repro.schedulers.base import Scheduler
-from repro.schedulers.ready import ReadyLists
+from repro.schedulers.ready import ReadyLists, ReadyScheduler
 
 
-class HmetisR(Scheduler):
+class HmetisR(ReadyScheduler):
     """Algorithm 3: hypergraph partition + stealing + Ready."""
 
     name = "hMETIS+R"
@@ -52,35 +51,7 @@ class HmetisR(Scheduler):
             nruns=self.nruns,
             rng=random.Random(self.seed),
         )
-        self._lists = ReadyLists(view.n_gpus)
-        for k, part in enumerate(self.partition.parts):
-            self._lists.assign(k, part)
-        if self.use_ready:
-            self._lists.enable_incremental(view)
-
-    def on_fetch_issued(self, gpu: int, data_id: int) -> None:
-        self._lists.on_fetch_issued(gpu, data_id)
-
-    def on_data_evicted(self, gpu: int, data_id: int) -> None:
-        self._lists.on_data_evicted(gpu, data_id)
+        self._lists = ReadyLists(view, self.partition.parts)
 
     def on_device_lost(self, gpu: int, requeued: Sequence[int]) -> None:
         self._lists.drop_gpu(gpu, requeued)
-
-    def next_task(self, gpu: int) -> Optional[int]:
-        while True:
-            if self.use_ready:
-                task = self._lists.pop_ready(gpu, self.view)
-                self.charge_ops(self._lists.last_scanned)
-            else:
-                task = self._lists.pop_fifo(gpu, self.view)
-                self.charge_ops(1)
-            if task is not None:
-                return task
-            if self._lists.remaining(gpu):
-                return None  # blocked on dependencies, not out of work
-            if not (self.use_stealing and self._lists.steal_half(gpu)):
-                return None
-
-    def remaining_order(self, gpu: int) -> Sequence[int]:
-        return tuple(self._lists.remaining(gpu))

@@ -3,12 +3,14 @@
 Given a list of tasks already allocated to a GPU, repeatedly start the
 task *requiring the fewest data transfers* given what the GPU memory
 currently holds (resident or already being fetched).  Shared by DMDAR,
-hMETIS+R and mHFP.
+hMETIS+R, mHFP and FIXED+R through :class:`ReadyScheduler`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional, Set
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Set
+
+from repro.schedulers.base import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.runtime import RuntimeView
@@ -21,39 +23,31 @@ class ReadyLists:
     :meth:`pop_ready` examined, so schedulers can charge decision
     operations to the runtime's virtual scheduler clock.
 
-    :meth:`enable_incremental` switches :meth:`pop_ready` from a fresh
-    ``missing_bytes`` sum per (scan, task) to a per-GPU cached array
-    updated on the owner scheduler's ``on_fetch_issued`` /
-    ``on_data_evicted`` hooks.  The cache is only enabled when the
-    values are provably bit-equal to the fresh sums: no output data
-    (ALLOCATED slots enter the held-set without an event) and
-    integer-valued sizes (float adds/subtracts of integers far below
-    2**53 are exact in any order).  ``check_incremental`` asserts
-    equality with a recomputation (property tests).
+    :meth:`pop_ready` reads a per-GPU missing-bytes array, built from the
+    view's held-sets at construction and updated by :meth:`on_fetch_issued`
+    / :meth:`on_data_evicted` as the owner scheduler receives those hooks.
+    The cache always equals a fresh ``missing_bytes`` sum: every held-set
+    entry arrives with an event (fetch issue or output allocation), and
+    data sizes are whole bytes, so the float ``±size`` updates are exact
+    in any order.  ``check_incremental`` asserts the equality (tests).
     """
 
-    def __init__(self, n_gpus: int) -> None:
-        self.lists: List[List[int]] = [[] for _ in range(n_gpus)]
+    def __init__(
+        self, view: "RuntimeView", parts: Sequence[Iterable[int]]
+    ) -> None:
+        self.view = view
+        self.lists: List[List[int]] = [[] for _ in range(view.n_gpus)]
+        for gpu, part in enumerate(parts):
+            self.lists[gpu].extend(part)
         self.last_scanned = 0
-        #: per-GPU missing-bytes per task; None → fresh sums
-        self._mb: Optional[List[List[float]]] = None
-        self._graph = None
-        self._sizes: List[float] = []
         #: GPUs removed from the device set by :meth:`drop_gpu`
         self._dead: Set[int] = set()
-
-    def enable_incremental(self, view: "RuntimeView") -> bool:
-        """Build the missing-bytes cache; False when ineligible."""
         graph = view.graph
-        if graph.has_outputs:
-            return False
-        sizes = [d.size for d in graph.data]
-        if any(s != int(s) for s in sizes):
-            return False  # exactness not guaranteed for fractional sizes
         self._graph = graph
-        self._sizes = sizes
-        self._mb = []
-        for g in range(len(self.lists)):
+        self._sizes = sizes = [d.size for d in graph.data]
+        #: per-GPU missing bytes per task
+        self._mb: List[List[float]] = []
+        for g in range(view.n_gpus):
             held = view.held(g)
             self._mb.append(
                 [
@@ -61,19 +55,14 @@ class ReadyLists:
                     for t in range(graph.n_tasks)
                 ]
             )
-        return True
 
     def on_fetch_issued(self, gpu: int, data_id: int) -> None:
-        if self._mb is None:
-            return
         mb = self._mb[gpu]
         sz = self._sizes[data_id]
         for t in self._graph.users_of(data_id):
             mb[t] -= sz
 
     def on_data_evicted(self, gpu: int, data_id: int) -> None:
-        if self._mb is None:
-            return
         mb = self._mb[gpu]
         sz = self._sizes[data_id]
         for t in self._graph.users_of(data_id):
@@ -101,29 +90,18 @@ class ReadyLists:
             target = min(alive, key=lambda g: (len(self.lists[g]), g))
             self.lists[target].append(task)
 
-    def check_incremental(self, view: "RuntimeView") -> None:
+    def check_incremental(self) -> None:
         """Assert the cache equals fresh ``missing_bytes`` (tests)."""
-        if self._mb is None:
-            return
         for g in range(len(self.lists)):
             if g in self._dead:
                 continue  # wiped memory makes the cached rows stale
             for t in range(self._graph.n_tasks):
-                fresh = view.missing_bytes(g, t)
+                fresh = self.view.missing_bytes(g, t)
                 assert self._mb[g][t] == fresh, (
                     f"gpu{g} task{t}: cached {self._mb[g][t]} != {fresh}"
                 )
 
-    def assign(self, gpu: int, tasks) -> None:
-        self.lists[gpu].extend(tasks)
-
-    def remaining(self, gpu: int) -> List[int]:
-        return self.lists[gpu]
-
-    def total_remaining(self) -> int:
-        return sum(len(l) for l in self.lists)
-
-    def pop_ready(self, gpu: int, view: "RuntimeView") -> Optional[int]:
+    def pop_ready(self, gpu: int) -> Optional[int]:
         """Remove and return the task with the fewest missing bytes.
 
         Ties go to list position, preserving the allocation order the
@@ -132,15 +110,16 @@ class ReadyLists:
         the list is released (the list may still be non-empty).
         """
         lst = self.lists[gpu]
+        is_released = self.view.is_released
         self.last_scanned = 0
         best_pos = -1
         best_missing = float("inf")
-        mb = self._mb[gpu] if self._mb is not None else None
+        mb = self._mb[gpu]
         for pos, task in enumerate(lst):
             self.last_scanned += 1
-            if not view.is_released(task):
+            if not is_released(task):
                 continue
-            missing = mb[task] if mb is not None else view.missing_bytes(gpu, task)
+            missing = mb[task]
             if missing < best_missing:
                 best_pos, best_missing = pos, missing
                 if missing == 0:
@@ -149,13 +128,13 @@ class ReadyLists:
             return None
         return lst.pop(best_pos)
 
-    def pop_fifo(self, gpu: int, view: Optional["RuntimeView"] = None) -> Optional[int]:
+    def pop_fifo(self, gpu: int) -> Optional[int]:
         """Head pop (DMDA without Ready): first *released* task."""
         lst = self.lists[gpu]
-        if view is None or not view.has_dependencies:
+        if not self.view.has_dependencies:
             return lst.pop(0) if lst else None
         for pos, task in enumerate(lst):
-            if view.is_released(task):
+            if self.view.is_released(task):
                 return lst.pop(pos)
         return None
 
@@ -180,3 +159,42 @@ class ReadyLists:
         del self.lists[victim][-take:]
         self.lists[thief].extend(moved)
         return True
+
+
+class ReadyScheduler(Scheduler):
+    """Base of the strategies that run per-GPU :class:`ReadyLists`.
+
+    A subclass builds ``self._lists`` in ``prepare`` (DMDA's allocation,
+    hMETIS+R's partition, mHFP's packages, a FIXED schedule) and sets
+    ``use_ready`` / ``use_stealing``.  This base pops each GPU's next
+    task — Ready order or list head — and, once that GPU's list is
+    empty, steals half of the most loaded list when stealing is on.
+    """
+
+    use_ready = True
+    use_stealing = False
+    _lists: ReadyLists
+
+    def next_task(self, gpu: int) -> Optional[int]:
+        while True:
+            if self.use_ready:
+                task = self._lists.pop_ready(gpu)
+                self.charge_ops(self._lists.last_scanned)
+            else:
+                task = self._lists.pop_fifo(gpu)
+                self.charge_ops(1)
+            if task is not None:
+                return task
+            if self._lists.lists[gpu]:
+                return None  # blocked on dependencies, not out of work
+            if not (self.use_stealing and self._lists.steal_half(gpu)):
+                return None
+
+    def on_fetch_issued(self, gpu: int, data_id: int) -> None:
+        self._lists.on_fetch_issued(gpu, data_id)
+
+    def on_data_evicted(self, gpu: int, data_id: int) -> None:
+        self._lists.on_data_evicted(gpu, data_id)
+
+    def remaining_order(self, gpu: int) -> Sequence[int]:
+        return tuple(self._lists.lists[gpu])

@@ -15,10 +15,10 @@ class TraceEvent:
     """One timestamped runtime event.
 
     ``kind`` is one of ``fetch_start``, ``fetch_end``, ``task_start``,
-    ``task_end``, ``evict``, ``steal``, or — under fault injection —
-    ``device_failed``, ``task_requeued``, ``replica_lost``,
-    ``xfer_fail``, ``xfer_retry``; ``ref`` is the data id, task id, or
-    (for ``steal``) the victim GPU index.
+    ``task_end``, ``evict``, ``store_start``, ``store_end``, or — under
+    fault injection — ``device_failed``, ``task_requeued``,
+    ``replica_lost``, ``xfer_fail``, ``xfer_retry``; ``ref`` is the data
+    id or task id (the GPU index for ``device_failed``).
     """
 
     time: float
@@ -98,9 +98,6 @@ class TraceRecorder:
 
     def of_kind(self, kind: str) -> List[TraceEvent]:
         return [e for e in self.events if e.kind == kind]
-
-    def on_gpu(self, gpu: int) -> List[TraceEvent]:
-        return [e for e in self.events if e.gpu == gpu]
 
 
 @dataclass
@@ -202,11 +199,6 @@ class RunResult:
         if total <= 0:
             return 0.0
         return self.total_flops / total / 1e9
-
-    @property
-    def max_tasks_per_gpu(self) -> int:
-        """Objective 1 achieved by the run."""
-        return max((g.n_tasks for g in self.gpus), default=0)
 
     def balance_ratio(self) -> float:
         """``max_k nb_k / mean nb_k`` — 1.0 is perfect balance."""

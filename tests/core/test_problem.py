@@ -37,6 +37,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="positive"):
             g.add_data(0.0)
 
+    @pytest.mark.parametrize("size", [0.5, 1.25, 14.75e6 + 0.5, float("inf")])
+    def test_fractional_size_rejected(self, size):
+        g = TaskGraph()
+        with pytest.raises(ValueError, match="whole bytes"):
+            g.add_data(size)
+
+    def test_whole_float_size_accepted(self):
+        assert TaskGraph().add_data(3.0).size == 3.0
+
     def test_negative_flops_rejected(self):
         g = TaskGraph()
         d = g.add_data(1.0)

@@ -148,15 +148,27 @@ class TestExclusion:
         assert 6 in ns
 
 
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 class TestTimeout:
     @needs_fork
-    def test_hung_cell_times_out_and_is_excluded(self, monkeypatch, capsys):
+    def test_hung_cell_times_out_and_is_excluded(
+        self, monkeypatch, capsys, tmp_path
+    ):
         spec = tiny_spec(schedulers=["eager"])
+        pid_file = tmp_path / "hung.pid"
 
         def hanging(spec_, n, name, rep, graph=None):
             if n == 6:
                 import time as _time
 
+                pid_file.write_text(str(os.getpid()))
                 _time.sleep(60.0)
             return run_cell(spec_, n, name, rep, graph=graph)
 
@@ -172,6 +184,10 @@ class TestTimeout:
         assert "excluded" in out and "wall clock" in out
         ns = {p.n for s in sweep.series.values() for p in s.points}
         assert ns == {4}
+        # the wedged worker was killed and reaped, not left sleeping
+        hung = int(pid_file.read_text())
+        assert hung != os.getpid()
+        assert not _alive(hung)
 
 
 class TestFaultPlanThreading:

@@ -9,8 +9,9 @@ must match exactly and no §III model invariant may fire.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.schedule import Schedule, replay_schedule
 from repro.schedulers.registry import make_scheduler
-from repro.simulator.runtime import simulate
+from repro.simulator.runtime import Runtime, simulate
 from repro.simulator.sanitizer import Sanitizer, check_determinism
 from repro.workloads.randomgraph import random_bipartite
 
@@ -54,28 +55,52 @@ def test_same_seed_runs_are_bit_identical(params, scheduler):
     assert len(digest) == 64
 
 
-@settings(max_examples=10, deadline=None)
-@given(params=instances, scheduler=st.sampled_from(FIVE_SCHEDULERS + ("darts+luf",)))
-# Regression: this instance makes LRU beat the Belady replay on load
-# count (legal with variable sizes), which used to fire SAN006.
-@example(params={"n_tasks": 10, "n_data": 6, "seed": 1}, scheduler="eager")
-def test_sanitizer_silent_on_heterogeneous_sizes(params, scheduler):
+#: an instance where LRU beats the Belady replay on load count (legal
+#: with variable sizes), which used to fire SAN006
+SAN006_REGRESSION = {"n_tasks": 6, "n_data": 5, "seed": 34}
+
+
+def run_heterogeneous(params, scheduler, sanitize):
     graph = build(params, heterogeneous=True)
     # Largest datum is ≤ 2.0; capacity 4.5 always admits any 2-input task.
     platform = toy_platform(n_gpus=2, memory=4.5, model="fair")
     sched, eviction = make_scheduler(scheduler)
-    san = Sanitizer(strict=False)
-    result = simulate(
+    rt = Runtime(
         graph,
         platform,
         sched,
         eviction=eviction,
         seed=params["seed"],
         record_trace=True,
-        sanitize=san,
+        sanitize=sanitize,
     )
+    return rt, rt.run()
+
+
+@settings(max_examples=10, deadline=None)
+@given(params=instances, scheduler=st.sampled_from(FIVE_SCHEDULERS + ("darts+luf",)))
+@example(params=SAN006_REGRESSION, scheduler="eager")
+def test_sanitizer_silent_on_heterogeneous_sizes(params, scheduler):
+    san = Sanitizer(strict=False)
+    _rt, result = run_heterogeneous(params, scheduler, san)
     assert san.violations == [], san.summary()
     assert result.trace_digest is not None
+
+
+def test_san006_regression_instance_beats_belady():
+    """The pinned example really has fewer loads than the Belady replay."""
+    rt, _result = run_heterogeneous(SAN006_REGRESSION, "eager", False)
+    beaten = []
+    for k, order in enumerate(rt.executed_order):
+        replay = replay_schedule(
+            rt.graph,
+            Schedule.single_gpu(order),
+            policy="belady",
+            capacity_bytes=rt.memories[k].capacity,
+        )
+        if rt.memories[k].n_loads < replay.gpus[0].n_loads:
+            beaten.append(k)
+    assert beaten, "the SAN006 regression example no longer shows its case"
 
 
 @settings(max_examples=8, deadline=None)

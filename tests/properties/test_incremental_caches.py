@@ -4,20 +4,28 @@ The core optimization replaced from-scratch rescans with incremental
 state (memory present/fetching/evictable sets, the DARTS free-task
 index, the Ready missing-bytes cache).  These tests drive the caches
 through arbitrary operation sequences — both synthetic ones against a
-bare :class:`DeviceMemory` and real simulations on random graphs — and
-assert at every step that each cache equals a fresh recomputation,
-which is the invariant the byte-identity argument rests on.
+bare :class:`DeviceMemory` and real simulations on random graphs with
+uniform or heterogeneous whole-byte sizes, on graphs with outputs
+(C tiles, and produced data read downstream), and under every list
+owner (DMDAR, mHFP, FIXED+R) — and assert at every step that each
+cache equals a fresh recomputation, which is the invariant the
+byte-identity argument rests on.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.problem import TaskGraph
+from repro.core.schedule import Schedule
+from repro.dag.deps import DependencySet
 from repro.schedulers.darts import Darts
 from repro.schedulers.dmda import Dmdar
+from repro.schedulers.fixed import FixedSchedule
 from repro.schedulers.hfp import Mhfp
 from repro.simulator.memory import MemoryFullError
 from repro.simulator.runtime import simulate
+from repro.workloads.matmul2d import matmul2d
 from repro.workloads.randomgraph import random_bipartite
 
 from tests.conftest import toy_platform
@@ -96,70 +104,158 @@ class _CheckedDarts(Darts):
         return task
 
 
-class _CheckedDmdar(Dmdar):
-    """DMDAR that re-verifies the missing-bytes cache on every event."""
+class _CheckedReady:
+    """Mixin re-verifying the missing-bytes cache on every event."""
 
     def on_fetch_issued(self, gpu, data_id):
         super().on_fetch_issued(gpu, data_id)
-        self._lists.check_incremental(self.view)
+        self._lists.check_incremental()
 
     def on_data_evicted(self, gpu, data_id):
         super().on_data_evicted(gpu, data_id)
-        self._lists.check_incremental(self.view)
+        self._lists.check_incremental()
+
+    def next_task(self, gpu):
+        task = super().next_task(gpu)
+        self._lists.check_incremental()
+        return task
 
 
-class _CheckedMhfp(Mhfp):
-    def on_fetch_issued(self, gpu, data_id):
-        super().on_fetch_issued(gpu, data_id)
-        self._lists.check_incremental(self.view)
+class _CheckedDmdar(_CheckedReady, Dmdar):
+    pass
 
-    def on_data_evicted(self, gpu, data_id):
-        super().on_data_evicted(gpu, data_id)
-        self._lists.check_incremental(self.view)
+
+class _CheckedMhfp(_CheckedReady, Mhfp):
+    pass
+
+
+class _CheckedFixedR(_CheckedReady, FixedSchedule):
+    """FIXED+R+steal over a round-robin schedule, set at ``prepare``."""
+
+    def __init__(self):
+        super().__init__(Schedule([]), use_ready=True, use_stealing=True)
+
+    def prepare(self, view):
+        k = view.n_gpus
+        self.schedule = Schedule(
+            [list(range(g, view.graph.n_tasks, k)) for g in range(k)]
+        )
+        super().prepare(view)
+
+
+READY_OWNERS = [_CheckedDmdar, _CheckedMhfp, _CheckedFixedR]
+
+
+def draw_memory(draw, graph):
+    """A capacity between the largest task footprint and everything."""
+    need = max(graph.task_footprint_bytes(t) for t in range(graph.n_tasks))
+    return float(draw(st.integers(int(need), int(graph.working_set_bytes) + 1)))
 
 
 @st.composite
 def graph_case(draw):
+    """Random bipartite graphs with uniform or heterogeneous sizes."""
     n_data = draw(st.integers(3, 8))
     n_tasks = draw(st.integers(2, 16))
     arity = draw(st.integers(1, min(3, n_data)))
     seed = draw(st.integers(0, 9999))
     graph = random_bipartite(
-        n_tasks, n_data, arity=arity, data_size=1.0, task_flops=1.0, seed=seed
+        n_tasks,
+        n_data,
+        arity=arity,
+        data_size=draw(st.sampled_from([1.0, 3.0])),
+        task_flops=1.0,
+        seed=seed,
+        heterogeneous_sizes=draw(st.booleans()),
     )
-    memory = float(draw(st.integers(arity, n_data + 1)))
+    memory = draw_memory(draw, graph)
     n_gpus = draw(st.integers(1, 3))
     window = draw(st.integers(1, 3))
-    return graph, memory, n_gpus, window, seed
+    return graph, None, memory, n_gpus, window, seed
+
+
+def producer_chains(width, layers, seed):
+    """Layer ``i`` reads layer ``i-1``'s outputs and one shared datum."""
+    g = TaskGraph()
+    shared = [g.add_data(1.0 + (seed + w) % 3) for w in range(width)]
+    inputs = [g.add_data(2.0) for _ in range(width)]
+    prev = [None] * width
+    edges = []
+    for _layer in range(layers):
+        outs = []
+        for w in range(width):
+            out = g.add_data(1.0 + (seed + w) % 2)
+            t = g.add_task(
+                [inputs[w], shared[(w + seed) % width]],
+                flops=1.0,
+                outputs=[out],
+            )
+            if prev[w] is not None:
+                edges.append((prev[w], t.id))
+            prev[w] = t.id
+            outs.append(out)
+        inputs = outs
+    return g, DependencySet(g.n_tasks, edges)
+
+
+@st.composite
+def output_case(draw):
+    """Graphs with outputs: C tiles, or produced data read downstream."""
+    seed = draw(st.integers(0, 9999))
+    if draw(st.booleans()):
+        graph = matmul2d(
+            draw(st.integers(2, 4)),
+            data_size=2.0,
+            task_flops=1.0,
+            with_outputs=True,
+            output_size=1.0,
+        )
+        deps = None
+    else:
+        graph, deps = producer_chains(
+            draw(st.integers(1, 3)), draw(st.integers(2, 4)), seed
+        )
+    memory = draw_memory(draw, graph)
+    n_gpus = draw(st.integers(1, 3))
+    window = draw(st.integers(1, 3))
+    return graph, deps, memory, n_gpus, window, seed
+
+
+def run_checked(cls, case):
+    graph, deps, memory, n_gpus, window, seed = case
+    result = simulate(
+        graph,
+        toy_platform(n_gpus=n_gpus, memory=memory, bandwidth=5.0),
+        cls(),
+        window=window,
+        seed=seed,
+        dependencies=deps,
+    )
+    executed = sorted(t for o in result.executed_order for t in o)
+    assert executed == list(range(graph.n_tasks))
 
 
 class TestSchedulerCachesMatchRecompute:
+    """DARTS's index and the Ready cache equal a rebuild mid-run."""
+
     @given(graph_case())
     @settings(max_examples=60, deadline=None)
     def test_darts_index_matches_fresh_recompute(self, case):
-        """The free-task index equals a from-scratch rebuild mid-run."""
-        graph, memory, n_gpus, window, seed = case
-        result = simulate(
-            graph,
-            toy_platform(n_gpus=n_gpus, memory=memory, bandwidth=5.0),
-            _CheckedDarts(),
-            window=window,
-            seed=seed,
-        )
-        executed = sorted(t for o in result.executed_order for t in o)
-        assert executed == list(range(graph.n_tasks))
+        run_checked(_CheckedDarts, case)
 
-    @pytest.mark.parametrize("cls", [_CheckedDmdar, _CheckedMhfp])
+    @pytest.mark.parametrize("cls", READY_OWNERS)
     @given(case=graph_case())
     @settings(max_examples=40, deadline=None)
     def test_ready_cache_matches_missing_bytes(self, cls, case):
-        graph, memory, n_gpus, window, seed = case
-        result = simulate(
-            graph,
-            toy_platform(n_gpus=n_gpus, memory=memory, bandwidth=5.0),
-            cls(),
-            window=window,
-            seed=seed,
-        )
-        executed = sorted(t for o in result.executed_order for t in o)
-        assert executed == list(range(graph.n_tasks))
+        run_checked(cls, case)
+
+    @given(output_case())
+    @settings(max_examples=40, deadline=None)
+    def test_darts_index_matches_with_outputs(self, case):
+        run_checked(_CheckedDarts, case)
+
+    @pytest.mark.parametrize("cls", READY_OWNERS)
+    @given(case=output_case())
+    @settings(max_examples=30, deadline=None)
+    def test_ready_cache_matches_with_outputs(self, cls, case):
+        run_checked(cls, case)

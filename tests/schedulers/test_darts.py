@@ -22,12 +22,15 @@ class TestFreeTaskSelection:
     def test_counts_free_tasks_correctly(self, figure1_graph):
         rt, sched = darts_on(figure1_graph)
         # preload column datum D4 (id 3): tasks T0,T3,T6 each still miss
-        # their row datum, so e.g. loading row D1 (0) frees exactly T0.
+        # their row datum, so loading row D1 (0) frees exactly T0, D2
+        # exactly T3 and D3 exactly T6.
         rt.memories[0].request(3)
         rt.engine.run()
         sched.on_fetch_issued(0, 3)
         sched.on_data_loaded(0, 3)
-        assert sched._count_free_tasks(0, rt.view.held(0)) == 1
+        free = {d: sched._free_by_datum[0].get(d) for d in (0, 1, 2)}
+        assert free == {0: {0}, 1: {3}, 2: {6}}
+        sched.check_index()
 
     def test_refill_prefers_most_enabling_datum(self, figure1_graph):
         rt, sched = darts_on(figure1_graph, memory=6.0)

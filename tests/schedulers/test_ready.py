@@ -14,6 +14,12 @@ def make_view(graph, n_gpus=1, memory=4.0):
     return rt, rt.view
 
 
+def make_lists(*parts):
+    """ReadyLists over matmul2d(3) (9 tasks), one GPU per part."""
+    _rt, view = make_view(matmul2d(3), n_gpus=len(parts))
+    return ReadyLists(view, parts)
+
+
 class TestPopReady:
     def test_prefers_task_with_data_resident(self, figure1_graph):
         rt, view = make_view(figure1_graph, memory=4.0)
@@ -21,69 +27,73 @@ class TestPopReady:
         rt.memories[0].request(0)
         rt.memories[0].request(3)
         rt.engine.run()
-        lists = ReadyLists(1)
-        lists.assign(0, [8, 4, 0])  # T0 last in the list
-        assert lists.pop_ready(0, view) == 0
+        lists = ReadyLists(view, [[8, 4, 0]])  # T0 last in the list
+        assert lists.pop_ready(0) == 0
 
     def test_counts_fetching_data_as_available(self, figure1_graph):
         rt, view = make_view(figure1_graph, memory=4.0)
         rt.memories[0].request(0)  # fetch in flight, not yet present
-        lists = ReadyLists(1)
-        lists.assign(0, [4, 0])
+        lists = ReadyLists(view, [[4, 0]])
         # T0 misses only D3; T4 misses both its inputs
-        assert lists.pop_ready(0, view) == 0
+        assert lists.pop_ready(0) == 0
+
+    def test_cache_follows_held_set_hooks(self, figure1_graph):
+        rt, view = make_view(figure1_graph, memory=4.0)
+        lists = ReadyLists(view, [[4, 0, 1]])  # built on an empty GPU
+        # the owner scheduler forwards each held-set change to the lists
+        for d in (0, 3):  # T0's inputs
+            rt.memories[0].request(d)
+            lists.on_fetch_issued(0, d)
+        lists.check_incremental()
+        assert lists.pop_ready(0) == 0
+        rt.engine.run()
+        rt.memories[0].evict(0)
+        lists.on_data_evicted(0, 0)
+        lists.check_incremental()
+        assert lists.pop_ready(0) == 4  # tasks 4 and 1 both miss 2 bytes
 
     def test_tie_goes_to_list_position(self, figure1_graph):
         rt, view = make_view(figure1_graph)
-        lists = ReadyLists(1)
-        lists.assign(0, [5, 2, 7])  # all equally missing
-        assert lists.pop_ready(0, view) == 5
+        lists = ReadyLists(view, [[5, 2, 7]])  # all equally missing
+        assert lists.pop_ready(0) == 5
 
     def test_pop_ready_empty_returns_none(self, figure1_graph):
         rt, view = make_view(figure1_graph)
-        lists = ReadyLists(1)
-        assert lists.pop_ready(0, view) is None
+        lists = ReadyLists(view, [[]])
+        assert lists.pop_ready(0) is None
 
     def test_pop_fifo_order(self):
-        lists = ReadyLists(1)
-        lists.assign(0, [3, 1, 2])
+        lists = make_lists([3, 1, 2])
         assert [lists.pop_fifo(0) for _ in range(4)] == [3, 1, 2, None]
 
     def test_remaining_view(self):
-        lists = ReadyLists(2)
-        lists.assign(0, [1, 2])
-        assert lists.remaining(0) == [1, 2]
-        assert lists.total_remaining() == 2
+        lists = make_lists([1, 2], [])
+        assert lists.lists == [[1, 2], []]
 
 
 class TestStealing:
     def test_steals_half_from_most_loaded_tail(self):
-        lists = ReadyLists(2)
-        lists.assign(0, [0, 1, 2, 3, 4, 5])
+        lists = make_lists([0, 1, 2, 3, 4, 5], [])
         assert lists.steal_half(1) is True
         assert lists.lists[0] == [0, 1, 2]
         assert lists.lists[1] == [3, 4, 5]
 
     def test_steals_from_the_most_loaded(self):
-        lists = ReadyLists(3)
-        lists.assign(0, [0, 1])
-        lists.assign(1, [2, 3, 4, 5])
+        lists = make_lists([0, 1], [2, 3, 4, 5], [])
         lists.steal_half(2)
         assert lists.lists[1] == [2, 3]
         assert lists.lists[2] == [4, 5]
 
     def test_steals_single_remaining_task(self):
-        lists = ReadyLists(2)
-        lists.assign(0, [7])
+        lists = make_lists([7], [])
         assert lists.steal_half(1) is True
         assert lists.lists[1] == [7]
         assert lists.lists[0] == []
 
     def test_nothing_to_steal(self):
-        lists = ReadyLists(2)
+        lists = make_lists([], [])
         assert lists.steal_half(0) is False
 
     def test_never_steals_from_self(self):
-        lists = ReadyLists(2)
-        lists.assign(0, [1, 2, 3])
+        lists = make_lists([1, 2, 3], [])
         assert lists.steal_half(0) is False

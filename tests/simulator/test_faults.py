@@ -26,7 +26,7 @@ from repro.simulator.faults import (
     TransferCorruption,
     load_fault_plan,
 )
-from repro.simulator.runtime import simulate
+from repro.simulator.runtime import Runtime, simulate
 from repro.simulator.sanitizer import check_determinism
 from repro.workloads.randomgraph import random_bipartite
 
@@ -238,12 +238,17 @@ class TestRecovery:
         sched.check_index()  # dead GPU's rows are skipped, live ones exact
 
 
+def ready_lists(*parts):
+    """ReadyLists on an idle runtime with one GPU per part."""
+    graph = small_graph()
+    platform = pressured_platform(n_gpus=len(parts))
+    sched, _ = make_scheduler("eager")
+    return ReadyLists(Runtime(graph, platform, sched).view, parts)
+
+
 class TestReadyListsDropGpu:
     def test_orphans_move_to_least_loaded_alive_list(self):
-        lists = ReadyLists(3)
-        lists.assign(0, [0, 1, 2])
-        lists.assign(1, [3, 4])
-        lists.assign(2, [5])
+        lists = ready_lists([0, 1, 2], [3, 4], [5])
         lists.drop_gpu(1, requeued=[9])
         assert lists.lists[1] == []
         moved = sorted(lists.lists[0] + lists.lists[2])
@@ -252,9 +257,7 @@ class TestReadyListsDropGpu:
         assert len(lists.lists[2]) > 1
 
     def test_dropping_all_gpus_raises(self):
-        lists = ReadyLists(2)
-        lists.assign(0, [0])
-        lists.assign(1, [1])
+        lists = ready_lists([0], [1])
         lists.drop_gpu(0, requeued=[])
         with pytest.raises(RuntimeError):
             lists.drop_gpu(1, requeued=[])

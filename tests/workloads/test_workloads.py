@@ -179,6 +179,13 @@ class TestRandomBipartite:
         assert len(sizes) > 1
         assert all(0.5 <= s <= 2.0 for s in sizes)
 
+    def test_heterogeneous_sizes_are_whole_bytes(self):
+        g = random_bipartite(
+            40, 20, data_size=1000.0, seed=2, heterogeneous_sizes=True
+        )
+        assert all(d.size.is_integer() for d in g.data)
+        assert all(500 <= d.size <= 2000 for d in g.data)
+
     def test_arity_validation(self):
         with pytest.raises(ValueError):
             random_bipartite(3, 2, arity=5)
