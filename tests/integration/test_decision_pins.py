@@ -25,6 +25,20 @@ PINS = {
     ("darts+luf", 48): (0.10666925000000106, 0.8017516865615292),
     ("mhfp", 20): (0.0005080999999999972, 0.1279115560552323),
     ("mhfp", 48): (0.012543499999999897, 0.6972883378480299),
+    # Ready-list owners and DARTS's early-exit scan orders, recorded
+    # before the Ready pop became heap-indexed and the early-exit scan
+    # got its integer sort key.  hMETIS+R also pins task stealing.
+    ("dmdar", 20): (0.000402599999999992, 0.13814113332830255),
+    ("dmdar", 48): (0.03211429999999996, 1.3991683086395466),
+    ("hmetis+r", 20): (0.0005987999999999969, 0.1403478058401867),
+    ("hmetis+r", 30): (0.003993099999999983, 0.41626781235951504),
+    ("darts+opti", 20): (0.00035539999999999725, 0.21978520161095605),
+    ("darts+opti", 48): (0.007257250000000003, 1.0561771063577519),
+    # working set 1 416 MB > 1.75 x 500 MB: the threshold is active
+    ("darts+luf+threshold", 48): (
+        0.01996244999999977,
+        0.9946765668871569,
+    ),
 }
 
 
@@ -45,6 +59,8 @@ class TestDecisionCostPins:
             window=spec.window,
             seed=rep_seed(spec.seed, scheduler, n, 0),
         )
+        if scheduler.endswith("+threshold"):
+            assert sched._threshold_active, "pin must exercise the threshold"
         vdt, makespan = PINS[(scheduler, n)]
         assert result.virtual_decision_time == vdt, (
             f"{scheduler} n={n}: virtual_decision_time drifted "
