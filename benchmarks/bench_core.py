@@ -10,6 +10,10 @@ Measures the layers touched by the profile-guided core optimization —
                one fig3 cell,
 * e2e        — end-to-end wall time of every scheduler cell of the fig3
                (n=48) and fig8 (n=70) sweeps via ``harness.run_cell``,
+* ready      — how DMDAR's Ready pop scales with the task count: matmul2d
+               on 4 × V100 at 250 MB for n = 80/110/140 (6.4k to 19.6k
+               tasks), min-of-3 wall time with its spread, plus the exact
+               number of queue entries the pops charge (Σ ``last_scanned``),
 
 and writes the numbers to ``BENCH_core.json`` (repo root) next to the
 **pre-optimization baselines** recorded below, with the speedup of each
@@ -20,8 +24,10 @@ is wall clock.
 
 Cross-machine comparisons use ``calibration_s`` — the time of a fixed
 pure-Python loop — to normalize: ``--check OLD.json`` compares
-``e2e/calibration`` ratios and fails on a >``--tolerance`` regression,
-which is what the CI perf-smoke job runs against the committed file.
+``e2e/calibration`` and ``ready/calibration`` ratios and fails on a
+>``--tolerance`` regression, or on any change of the exact Σ
+``last_scanned`` counts; the CI perf-smoke job runs it against the
+committed file.
 
 Usage::
 
@@ -74,6 +80,14 @@ PRE_PR_BASELINE: Dict[str, Dict[str, float]] = {
         "darts+luf+threshold": 0.657,
     },
 }
+
+
+#: DMDAR ``ready_scaling`` wall times (seconds) with the linear Ready
+#: scan, i.e. before the heap-indexed pop: min of 6 runs on the 1-CPU
+#: host that first recorded the section in BENCH_core.json.
+READY_BASELINE: Dict[int, float] = {80: 0.546, 110: 1.939, 140: 4.933}
+#: matmul2d sizes of the ``ready_scaling`` section (``--quick``: first only)
+READY_NS = (80, 110, 140)
 
 
 def _usable_cpus() -> int:
@@ -182,6 +196,59 @@ def bench_darts_decision(n: int = 48) -> Dict[str, Any]:
     }
 
 
+def bench_ready_scaling(ns: List[int], reps: int = 3) -> Dict[str, Any]:
+    """DMDAR on matmul2d, 4 × V100 at 250 MB: wall time vs task count.
+
+    Σ ``last_scanned`` is every queue entry the Ready pops charged; it
+    is host-independent, so ``--check`` compares it exactly.
+    """
+    from repro import matmul2d, tesla_v100_node
+    from repro.schedulers.dmda import Dmdar
+    from repro.simulator.runtime import simulate
+
+    class CountingDmdar(Dmdar):
+        """DMDAR whose every charged op is one Ready entry scanned."""
+
+        def __init__(self) -> None:
+            super().__init__()
+            self.scanned = 0
+
+        def charge_ops(self, n: int) -> None:
+            self.scanned += n
+            super().charge_ops(n)
+
+    platform = tesla_v100_node(n_gpus=4, memory_bytes=250e6)
+    out: Dict[str, Any] = {}
+    for n in ns:
+        graph = matmul2d(n)
+        times = []
+        scanned = set()
+        for _ in range(reps):
+            sched = CountingDmdar()
+            t0 = time.perf_counter()
+            simulate(graph, platform, sched, eviction="lru", seed=0)
+            times.append(time.perf_counter() - t0)
+            scanned.add(sched.scanned)
+        assert len(scanned) == 1, f"n={n}: nondeterministic scan {scanned}"
+        best = min(times)
+        cell: Dict[str, Any] = {
+            "tasks": graph.n_tasks,
+            "seconds": round(best, 4),
+            "spread": round((max(times) - best) / best, 3),
+            "ready_scanned": scanned.pop(),
+        }
+        if n in READY_BASELINE:
+            cell["baseline_s"] = READY_BASELINE[n]
+            cell["speedup"] = round(READY_BASELINE[n] / best, 2)
+        out[str(n)] = cell
+        print(
+            f"  ready n={n} ({graph.n_tasks} tasks): {best:.3f}s "
+            f"(+{cell['spread']:.0%}) scanned {cell['ready_scanned']:,}",
+            flush=True,
+        )
+    return out
+
+
 def run_benchmarks(quick: bool) -> Dict[str, Any]:
     cells: Dict[str, List[str]] = {
         "fig3:48": list(PRE_PR_BASELINE["fig3:48"]),
@@ -208,6 +275,9 @@ def run_benchmarks(quick: bool) -> Dict[str, Any]:
         "e2e": {},
         "baseline_pre_pr": PRE_PR_BASELINE,
     }
+    report["ready_scaling"] = bench_ready_scaling(
+        list(READY_NS[:1] if quick else READY_NS)
+    )
 
     for key, schedulers in cells.items():
         fid, n_s = key.split(":")
@@ -260,6 +330,22 @@ def check_regression(
                 f"  check {key} {scheduler}: normalized x{ratio:.2f} "
                 f"[{status}]"
             )
+    old_ready = old.get("ready_scaling", {})
+    for n, cell in report.get("ready_scaling", {}).items():
+        if n not in old_ready:
+            continue
+        ref = old_ready[n]
+        ratio = (cell["seconds"] / new_cal) / (ref["seconds"] / old_cal)
+        status = "ok"
+        if ratio > 1.0 + tolerance:
+            status = "REGRESSED"
+            failures += 1
+        if cell["ready_scanned"] != ref["ready_scanned"]:
+            status = (
+                f"SCAN COUNT {cell['ready_scanned']} != {ref['ready_scanned']}"
+            )
+            failures += 1
+        print(f"  check ready n={n}: normalized x{ratio:.2f} [{status}]")
     return failures
 
 
@@ -268,7 +354,8 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="fig3 cells only, single rep (CI perf smoke)",
+        help="fig3 cells and ready n=80 only, single e2e rep (CI perf "
+        "smoke)",
     )
     parser.add_argument("--out", default=DEFAULT_OUT, help="output JSON path")
     parser.add_argument(

@@ -76,7 +76,12 @@ class Scheduler:
     # notifications (optional)
     # ------------------------------------------------------------------
     def task_done(self, gpu: int, task_id: int) -> None:
-        """Task finished executing on ``gpu``."""
+        """Task finished executing on ``gpu``.
+
+        Called after the completion has been counted against each of the
+        task's successors: ``RuntimeView.is_released`` already reflects
+        it (the Ready lists re-index released successors here).
+        """
 
     def on_data_loaded(self, gpu: int, data_id: int) -> None:
         """A fetch of ``data_id`` into ``gpu``'s memory completed."""

@@ -72,6 +72,12 @@ class Darts(Scheduler):
         self._remaining_users: List[int] = [
             graph.degree(d) for d in range(graph.n_data)
         ]
+        #: early-exit scan order, most remaining users first, then id:
+        #: ``-remaining_users[d] * n_data + d`` (``0 <= d < n_data``)
+        self._order_key: List[int] = [
+            -ru * graph.n_data + d
+            for d, ru in enumerate(self._remaining_users)
+        ]
         self._planned: List[Deque[int]] = [
             deque() for _ in range(view.n_gpus)
         ]
@@ -149,6 +155,10 @@ class Darts(Scheduler):
         """Assert the index equals a from-scratch recomputation (tests)."""
         view = self.view
         graph = view.graph
+        assert self._order_key == [
+            -ru * graph.n_data + d
+            for d, ru in enumerate(self._remaining_users)
+        ], "order key out of step with remaining users"
         for g in range(view.n_gpus):
             if g in self._dead_gpus:
                 continue  # wiped memory makes the dead GPU's rows stale
@@ -199,11 +209,10 @@ class Darts(Scheduler):
         # are order-*sensitive*: visit data with the most remaining
         # unprocessed users first, so the first hit is usually a good
         # one (cheap to order, and what makes OPTI "close to optimal").
-        # One sort either way; (-users, d) keeps the id tie order the old
-        # stable double sort produced.
+        # One sort either way; the packed (-users, d) order key keeps the
+        # id tie order the old stable double sort produced.
         if self.opti or threshold is not None:
-            ru = self._remaining_users
-            scan_order = sorted(not_in_mem, key=lambda d: (-ru[d], d))
+            scan_order = sorted(not_in_mem, key=self._order_key.__getitem__)
         else:
             scan_order = sorted(not_in_mem)
         for d in scan_order:
@@ -316,8 +325,10 @@ class Darts(Scheduler):
     # ------------------------------------------------------------------
     def task_done(self, gpu: int, task_id: int) -> None:
         self._executed.add(task_id)
+        n_data = self.view.graph.n_data
         for d in self.view.graph.inputs_of(task_id):
             self._remaining_users[d] -= 1
+            self._order_key[d] += n_data
 
     def on_data_loaded(self, gpu: int, data_id: int) -> None:
         self._data_not_in_mem[gpu].discard(data_id)

@@ -10,7 +10,7 @@ internals.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, List, Set
+from typing import TYPE_CHECKING, Iterable, List, Set
 
 from repro.core.problem import TaskGraph
 from repro.platform.spec import PlatformSpec
@@ -85,6 +85,12 @@ class RuntimeView:
         """
         indeg = self._rt._indegree
         return indeg is None or indeg[task_id] == 0
+
+    def successors(self, task_id: int) -> Iterable[int]:
+        """Tasks depending directly on ``task_id`` (empty without
+        dependencies)."""
+        deps = self._rt.dependencies
+        return () if deps is None else deps.succs[task_id]
 
     def capacity(self, gpu: int) -> float:
         return self._rt.memories[gpu].capacity

@@ -8,9 +8,14 @@ from repro.workloads.matmul2d import matmul2d
 from tests.conftest import toy_platform
 
 
-def make_view(graph, n_gpus=1, memory=4.0):
+def make_view(graph, n_gpus=1, memory=4.0, dependencies=None):
     """A real RuntimeView over an idle runtime (no events fired)."""
-    rt = Runtime(graph, toy_platform(n_gpus=n_gpus, memory=memory), Eager())
+    rt = Runtime(
+        graph,
+        toy_platform(n_gpus=n_gpus, memory=memory),
+        Eager(),
+        dependencies=dependencies,
+    )
     return rt, rt.view
 
 
@@ -56,11 +61,15 @@ class TestPopReady:
         rt, view = make_view(figure1_graph)
         lists = ReadyLists(view, [[5, 2, 7]])  # all equally missing
         assert lists.pop_ready(0) == 5
+        assert lists.last_scanned == 3  # no winner misses 0: whole list
+        assert lists.pop_ready(0) == 2
+        assert lists.last_scanned == 2
 
     def test_pop_ready_empty_returns_none(self, figure1_graph):
         rt, view = make_view(figure1_graph)
         lists = ReadyLists(view, [[]])
         assert lists.pop_ready(0) is None
+        assert lists.last_scanned == 0
 
     def test_pop_fifo_order(self):
         lists = make_lists([3, 1, 2])
@@ -69,6 +78,64 @@ class TestPopReady:
     def test_remaining_view(self):
         lists = make_lists([1, 2], [])
         assert lists.lists == [[1, 2], []]
+
+
+class TestLastScanned:
+    """``last_scanned`` is what the paper's front-to-back scan examines,
+    whatever structure the pop reads (the whole-list and empty-list
+    cases are in :class:`TestPopReady`)."""
+
+    def test_zero_missing_winner_counts_through_its_position(
+        self, figure1_graph
+    ):
+        rt, view = make_view(figure1_graph, memory=4.0)
+        for d in (0, 3):  # T0's inputs
+            rt.memories[0].request(d)
+        lists = ReadyLists(view, [[8, 4, 0, 5]])
+        assert lists.pop_ready(0) == 0
+        assert lists.last_scanned == 3
+
+        lists = ReadyLists(view, [[]])
+        assert lists.pop_ready(0) is None
+        assert lists.last_scanned == 0
+
+    def test_unreleased_task_counted_skipped_then_popped_on_release(
+        self, figure1_graph
+    ):
+        # T0 needs T8; it misses nothing, but is not released yet
+        rt, view = make_view(
+            figure1_graph, memory=4.0, dependencies=[(8, 0)]
+        )
+        for d in (0, 3):
+            rt.memories[0].request(d)
+        lists = ReadyLists(view, [[0, 4, 5]])
+        assert lists.pop_ready(0) == 4  # both others miss 2 bytes
+        assert lists.last_scanned == 3
+        lists.check_index()
+        # T8 completes: the kernel decrements indegrees, then the
+        # scheduler's task_done hook reaches the lists
+        rt._indegree[0] -= 1
+        lists.on_task_done(8)
+        lists.check_index()
+        assert lists.pop_ready(0) == 0
+        assert lists.last_scanned == 1
+
+    def test_nothing_released_scans_the_whole_list(self, figure1_graph):
+        rt, view = make_view(figure1_graph, dependencies=[(8, 0), (8, 1)])
+        lists = ReadyLists(view, [[0, 1]])
+        assert lists.pop_ready(0) is None
+        assert lists.last_scanned == 2
+        assert lists.lists[0] == [0, 1]
+
+    def test_stolen_tasks_keep_victim_order_at_thief_tail(self):
+        lists = make_lists([0, 1, 2, 3, 4, 5], [6])
+        assert lists.steal_half(1) is True
+        assert lists.lists[1] == [6, 3, 4, 5]
+        lists.check_index()
+        # every task misses both inputs: ties pop in list order
+        popped = [lists.pop_ready(1) for _ in range(4)]
+        assert popped == [6, 3, 4, 5]
+        assert lists.lists[0] == [0, 1, 2]
 
 
 class TestStealing:
