@@ -11,7 +11,7 @@ so K need not be a power of two.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.partitioning.coarsen import coarsen_to
 from repro.partitioning.fm import bisection_cut, fm_refine
@@ -19,29 +19,41 @@ from repro.partitioning.hypergraph import Hypergraph
 
 
 def _greedy_initial(
-    h: Hypergraph, target0: float, rng: random.Random
+    h: Hypergraph,
+    target0: float,
+    rng: random.Random,
+    neighbors: Sequence[Dict[int, float]],
 ) -> List[int]:
-    """Grow side 0 from a random seed by strongest attachment."""
+    """Grow side 0 from a random seed by strongest attachment.
+
+    ``neighbors[v]`` is ``h.neighbor_weights(v)``, computed once by the
+    caller for all restarts.
+    """
     side = [1] * h.n
     if h.n == 0:
         return side
     seed = rng.randrange(h.n)
     side[seed] = 0
     w0 = h.vwgt[seed]
-    attach = {u: s for u, s in h.neighbor_weights(seed).items()}
+    attach = dict(neighbors[seed])
     in0 = {seed}
+    # lowest vertex that may still be outside side 0; ``in0`` only
+    # grows, so every vertex below it stays inside
+    cursor = 0
     while w0 < target0 and len(in0) < h.n:
         if attach:
             v = max(attach, key=lambda u: (attach[u], -u))
             del attach[v]
-        else:  # disconnected: pick any remaining vertex
-            v = next(u for u in range(h.n) if u not in in0)
+        else:  # disconnected: pick the lowest remaining vertex
+            while cursor in in0:
+                cursor += 1
+            v = cursor
         if v in in0:
             continue
         side[v] = 0
         in0.add(v)
         w0 += h.vwgt[v]
-        for u, s in h.neighbor_weights(v).items():
+        for u, s in neighbors[v].items():
             if u not in in0:
                 attach[u] = attach.get(u, 0.0) + s
     return side
@@ -76,8 +88,9 @@ def multilevel_bisect(
     best_side: Optional[List[int]] = None
     best_cut = float("inf")
     coarsest = levels[-1]
+    neighbors = [coarsest.neighbor_weights(v) for v in range(coarsest.n)]
     for _ in range(max(1, nruns)):
-        side = _greedy_initial(coarsest, target0, rng)
+        side = _greedy_initial(coarsest, target0, rng, neighbors)
         side = fm_refine(coarsest, side, target0, tolerance)
         # project back up, refining at each level
         for lvl in range(len(levels) - 2, -1, -1):

@@ -5,7 +5,11 @@ import random
 import pytest
 
 from repro.core.problem import TaskGraph
-from repro.partitioning.bisection import multilevel_bisect, partition_kway
+from repro.partitioning.bisection import (
+    _greedy_initial,
+    multilevel_bisect,
+    partition_kway,
+)
 from repro.partitioning.coarsen import coarsen_to, contract, match_heavy_edge
 from repro.partitioning.fm import bisection_cut
 from repro.partitioning.hypergraph import Hypergraph
@@ -57,6 +61,40 @@ class TestCoarsening:
         assert levels[0] is h
         assert len(maps) == len(levels) - 1
         assert levels[-1].n <= max(10, levels[-2].n * 0.9) or len(levels) == 1
+
+
+class TestGreedyInitial:
+    @staticmethod
+    def grow(h, target0, rng_seed):
+        neighbors = [h.neighbor_weights(v) for v in range(h.n)]
+        side = _greedy_initial(h, target0, random.Random(rng_seed), neighbors)
+        return {v for v in range(h.n) if side[v] == 0}
+
+    @pytest.mark.parametrize("rng_seed", range(6))
+    def test_isolated_vertices_fill_from_the_lowest_index(self, rng_seed):
+        n = 12
+        h = Hypergraph(n, [1.0] * n, [], [])
+        seed = random.Random(rng_seed).randrange(n)
+        rest = [u for u in range(n) if u != seed]
+        assert self.grow(h, 5.0, rng_seed) == {seed, *rest[:4]}
+
+    @pytest.mark.parametrize("rng_seed", range(6))
+    def test_neighbours_first_then_lowest_isolated(self, rng_seed):
+        n = 12
+        seed = random.Random(rng_seed).randrange(n)
+        partner = n - 1 if seed != n - 1 else 0
+        h = Hypergraph(n, [1.0] * n, [(seed, partner)], [1.0])
+        rest = [u for u in range(n) if u not in (seed, partner)]
+        assert self.grow(h, 5.0, rng_seed) == {seed, partner, *rest[:3]}
+
+    def test_stops_at_the_target_weight(self):
+        h = Hypergraph(6, [2.0, 1.0, 1.0, 3.0, 1.0, 1.0], [], [])
+        grown = self.grow(h, 4.0, 0)
+        assert sum(h.vwgt[v] for v in grown) >= 4.0
+        # one vertex fewer would still fall short of the target
+        seed = random.Random(0).randrange(h.n)
+        last = max(grown - {seed})
+        assert sum(h.vwgt[v] for v in grown - {last}) < 4.0
 
 
 class TestBisect:
