@@ -17,6 +17,10 @@ Measures the layers touched by the profile-guided core optimization —
 * partition  — hMETIS+R's static phase: ``partition_tasks`` with k=4 on
                matmul2d for n = 40/60/80 (1.6k to 6.4k tasks), min-of-3
                wall time with its spread, plus the exact ``cut_bytes``,
+* darts      — how DARTS+LUF's refills scale with the task count: matmul2d
+               with C-tile outputs on 4 × V100 at 250 MB for n = 32/48/64
+               (1k to 4.1k tasks), min-of-3 wall time with its spread,
+               plus the exact Σ of the ops its decisions charge,
 
 and writes the numbers to ``BENCH_core.json`` (repo root) next to the
 **pre-optimization baselines** recorded below, with the speedup of each
@@ -27,10 +31,11 @@ is wall clock.
 
 Cross-machine comparisons use ``calibration_s`` — the time of a fixed
 pure-Python loop — to normalize: ``--check OLD.json`` compares
-``e2e/calibration``, ``ready/calibration`` and ``partition/calibration``
-ratios and fails on a >``--tolerance`` regression, or on any change of
-the exact Σ ``last_scanned`` counts or partition cuts; the CI
-perf-smoke job runs it against the committed file.
+``e2e/calibration``, ``ready/calibration``, ``partition/calibration``
+and ``darts/calibration`` ratios and fails on a >``--tolerance``
+regression, or on any change of the exact Σ ``last_scanned`` counts,
+partition cuts or DARTS charged ops; the CI perf-smoke job runs it
+against the committed file.
 
 Usage::
 
@@ -46,7 +51,7 @@ import os
 import platform as _platform
 import sys
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 try:
     import repro  # noqa: F401
@@ -99,6 +104,14 @@ READY_NS = (80, 110, 140)
 PARTITION_BASELINE: Dict[int, float] = {40: 1.128, 60: 3.302, 80: 13.906}
 #: matmul2d sizes of the ``partition`` section (``--quick``: first only)
 PARTITION_NS = (40, 60, 80)
+
+#: DARTS+LUF ``darts_scaling`` wall times (seconds) with the refill that
+#: scanned all of ``dataNotInMem_k`` in Python, i.e. before the count
+#: buckets: min of 9 runs on the 2-CPU host that first recorded the
+#: section in BENCH_core.json.
+DARTS_BASELINE: Dict[int, float] = {32: 0.267, 48: 1.201, 64: 3.684}
+#: matmul2d sizes of the ``darts_scaling`` section (``--quick``: first only)
+DARTS_NS = (32, 48, 64)
 
 
 def _usable_cpus() -> int:
@@ -215,6 +228,62 @@ def bench_darts_decision(n: int = 48) -> Dict[str, Any]:
     }
 
 
+def _scaling(
+    label: str,
+    ns: List[int],
+    build: Callable[[int], Any],
+    run: Callable[[Any], Any],
+    exact: str,
+    baseline: Dict[int, float],
+    reps: int = 3,
+) -> Dict[str, Any]:
+    """Min-of-``reps`` wall time of ``run(build(n))`` for each ``n``.
+
+    ``run`` returns the section's ``exact`` value, which must not vary
+    between repetitions: ``--check`` compares it exactly.
+    """
+    out: Dict[str, Any] = {}
+    for n in ns:
+        graph = build(n)
+        times = []
+        values = set()
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            values.add(run(graph))
+            times.append(time.perf_counter() - t0)
+        assert len(values) == 1, f"{label} n={n}: nondeterministic {values}"
+        best = min(times)
+        cell: Dict[str, Any] = {
+            "tasks": graph.n_tasks,
+            "seconds": round(best, 4),
+            "spread": round((max(times) - best) / best, 3),
+            exact: values.pop(),
+        }
+        if n in baseline:
+            cell["baseline_s"] = baseline[n]
+            cell["speedup"] = round(baseline[n] / best, 2)
+        out[str(n)] = cell
+        print(
+            f"  {label} n={n} ({graph.n_tasks} tasks): {best:.3f}s "
+            f"(+{cell['spread']:.0%}) {exact} {cell[exact]:,}",
+            flush=True,
+        )
+    return out
+
+
+def _counting(cls: type) -> type:
+    """``cls`` summing every op its decisions charge in ``charged``."""
+
+    class Counting(cls):
+        charged = 0
+
+        def charge_ops(self, n: int) -> None:
+            self.charged += n
+            super().charge_ops(n)
+
+    return Counting
+
+
 def bench_ready_scaling(ns: List[int], reps: int = 3) -> Dict[str, Any]:
     """DMDAR on matmul2d, 4 × V100 at 250 MB: wall time vs task count.
 
@@ -225,47 +294,49 @@ def bench_ready_scaling(ns: List[int], reps: int = 3) -> Dict[str, Any]:
     from repro.schedulers.dmda import Dmdar
     from repro.simulator.runtime import simulate
 
-    class CountingDmdar(Dmdar):
-        """DMDAR whose every charged op is one Ready entry scanned."""
-
-        def __init__(self) -> None:
-            super().__init__()
-            self.scanned = 0
-
-        def charge_ops(self, n: int) -> None:
-            self.scanned += n
-            super().charge_ops(n)
-
+    # every op DMDAR charges is one Ready entry scanned
+    counting_dmdar = _counting(Dmdar)
     platform = tesla_v100_node(n_gpus=4, memory_bytes=250e6)
-    out: Dict[str, Any] = {}
-    for n in ns:
-        graph = matmul2d(n)
-        times = []
-        scanned = set()
-        for _ in range(reps):
-            sched = CountingDmdar()
-            t0 = time.perf_counter()
-            simulate(graph, platform, sched, eviction="lru", seed=0)
-            times.append(time.perf_counter() - t0)
-            scanned.add(sched.scanned)
-        assert len(scanned) == 1, f"n={n}: nondeterministic scan {scanned}"
-        best = min(times)
-        cell: Dict[str, Any] = {
-            "tasks": graph.n_tasks,
-            "seconds": round(best, 4),
-            "spread": round((max(times) - best) / best, 3),
-            "ready_scanned": scanned.pop(),
-        }
-        if n in READY_BASELINE:
-            cell["baseline_s"] = READY_BASELINE[n]
-            cell["speedup"] = round(READY_BASELINE[n] / best, 2)
-        out[str(n)] = cell
-        print(
-            f"  ready n={n} ({graph.n_tasks} tasks): {best:.3f}s "
-            f"(+{cell['spread']:.0%}) scanned {cell['ready_scanned']:,}",
-            flush=True,
-        )
-    return out
+
+    def run(graph: Any) -> int:
+        sched = counting_dmdar()
+        simulate(graph, platform, sched, eviction="lru", seed=0)
+        return sched.charged
+
+    return _scaling(
+        "ready", ns, matmul2d, run, "ready_scanned", READY_BASELINE, reps
+    )
+
+
+def bench_darts_scaling(ns: List[int], reps: int = 3) -> Dict[str, Any]:
+    """DARTS+LUF on matmul2d with C-tile outputs, 4 × V100 at 250 MB:
+    wall time vs task count.
+
+    Σ charged ops is the modeled cost of every decision (the full
+    scans of ``dataNotInMem_k`` included); it is host-independent, so
+    ``--check`` compares it exactly.
+    """
+    from repro import matmul2d, tesla_v100_node
+    from repro.schedulers.darts import Darts
+    from repro.simulator.runtime import simulate
+
+    counting_darts = _counting(Darts)
+    platform = tesla_v100_node(n_gpus=4, memory_bytes=250e6)
+
+    def run(graph: Any) -> int:
+        sched = counting_darts()
+        simulate(graph, platform, sched, eviction="luf", seed=0)
+        return sched.charged
+
+    return _scaling(
+        "darts",
+        ns,
+        lambda n: matmul2d(n, with_outputs=True),
+        run,
+        "ops_charged",
+        DARTS_BASELINE,
+        reps,
+    )
 
 
 def bench_partition(ns: List[int], reps: int = 3) -> Dict[str, Any]:
@@ -278,34 +349,14 @@ def bench_partition(ns: List[int], reps: int = 3) -> Dict[str, Any]:
     from repro import matmul2d
     from repro.partitioning.interface import partition_tasks
 
-    out: Dict[str, Any] = {}
-    for n in ns:
-        graph = matmul2d(n)
-        times = []
-        cuts = set()
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            result = partition_tasks(graph, 4, nruns=10, rng=random.Random(0))
-            times.append(time.perf_counter() - t0)
-            cuts.add(result.cut_bytes)
-        assert len(cuts) == 1, f"n={n}: nondeterministic cut {cuts}"
-        best = min(times)
-        cell: Dict[str, Any] = {
-            "tasks": graph.n_tasks,
-            "seconds": round(best, 4),
-            "spread": round((max(times) - best) / best, 3),
-            "cut_bytes": cuts.pop(),
-        }
-        if n in PARTITION_BASELINE:
-            cell["baseline_s"] = PARTITION_BASELINE[n]
-            cell["speedup"] = round(PARTITION_BASELINE[n] / best, 2)
-        out[str(n)] = cell
-        print(
-            f"  partition n={n} ({graph.n_tasks} tasks): {best:.3f}s "
-            f"(+{cell['spread']:.0%}) cut {cell['cut_bytes']:.0f} B",
-            flush=True,
-        )
-    return out
+    def run(graph: Any) -> float:
+        return partition_tasks(
+            graph, 4, nruns=10, rng=random.Random(0)
+        ).cut_bytes
+
+    return _scaling(
+        "partition", ns, matmul2d, run, "cut_bytes", PARTITION_BASELINE, reps
+    )
 
 
 def run_benchmarks(quick: bool) -> Dict[str, Any]:
@@ -339,6 +390,9 @@ def run_benchmarks(quick: bool) -> Dict[str, Any]:
     )
     report["partition"] = bench_partition(
         list(PARTITION_NS[:1] if quick else PARTITION_NS)
+    )
+    report["darts_scaling"] = bench_darts_scaling(
+        list(DARTS_NS[:1] if quick else DARTS_NS)
     )
 
     for key, schedulers in cells.items():
@@ -396,6 +450,7 @@ def check_regression(
     for section, exact, label in (
         ("ready_scaling", "ready_scanned", "ready"),
         ("partition", "cut_bytes", "partition"),
+        ("darts_scaling", "ops_charged", "darts"),
     ):
         old_cells = old.get(section, {})
         for n, cell in report.get(section, {}).items():
@@ -419,8 +474,8 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="fig3 cells, ready n=80 and partition n=40 only, single e2e "
-        "rep (CI perf smoke)",
+        help="fig3 cells, ready n=80, partition n=40 and darts n=32 only, "
+        "single e2e rep (CI perf smoke)",
     )
     parser.add_argument("--out", default=DEFAULT_OUT, help="output JSON path")
     parser.add_argument(

@@ -28,7 +28,16 @@ un-reserved (returned to the common pool) and ``V`` returns to
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Set
+from typing import (
+    Collection,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.schedulers.base import Scheduler
 
@@ -66,18 +75,28 @@ class Darts(Scheduler):
         super().prepare(view)
         graph = view.graph
         self._rng = view.rng
-        #: tasks not yet reserved by any GPU nor executed
-        self._unowned: Set[int] = set(range(graph.n_tasks))
-        #: remaining unprocessed tasks using each datum (tie-break metric)
-        self._remaining_users: List[int] = [
+        #: released tasks not yet reserved by any GPU nor executed: what
+        #: a refill may plan or take
+        self._pool: Set[int] = {
+            t for t in range(graph.n_tasks) if view.is_released(t)
+        }
+        #: tasks waiting on a predecessor; none is owned, so the unowned
+        #: tasks number ``len(_pool) + _unreleased``
+        self._unreleased = graph.n_tasks - len(self._pool)
+        #: tasks reading each datum: what scanning it charges
+        self._degree: List[int] = [
             graph.degree(d) for d in range(graph.n_data)
         ]
+        #: remaining unprocessed tasks using each datum (tie-break metric)
+        self._remaining_users: List[int] = list(self._degree)
         #: early-exit scan order, most remaining users first, then id:
         #: ``-remaining_users[d] * n_data + d`` (``0 <= d < n_data``)
         self._order_key: List[int] = [
             -ru * graph.n_data + d
             for d, ru in enumerate(self._remaining_users)
         ]
+        #: every datum, in early-exit scan order once sorted
+        self._order: List[int] = list(range(graph.n_data))
         self._planned: List[Deque[int]] = [
             deque() for _ in range(view.n_gpus)
         ]
@@ -99,27 +118,38 @@ class Darts(Scheduler):
     # incremental free-task index
     # ------------------------------------------------------------------
     #
-    # ``n(D)`` of Algorithm 5 counts the unowned, released tasks whose
-    # only input absent from held(g) is ``D``.  Per GPU ``g`` and task
-    # ``t``:
+    # ``n(D)`` of Algorithm 5 counts the pool tasks (unowned, released)
+    # whose only input absent from held(g) is ``D``.  Per GPU ``g``:
     #   _miss_count[g][t]  — number of t's inputs not in held(g);
     #   _miss_sum[g][t]    — sum of those input ids (when the count is 1
     #                        this identifies the single missing datum);
-    #   _free_by_datum[g]  — datum d → set of *unowned* tasks whose only
-    #                        missing input on g is d.
+    #   _free_by_datum[g]  — datum d → set of pool tasks whose only
+    #                        missing input on g is d, so n(d) is a len();
+    #   _buckets[g]        — n → data of ``dataNotInMem_g`` with
+    #                        n(d) = n > 0, and _bucket_of[g][d] that n
+    #                        (0: no bucket), current for every datum not
+    #                        in _dirty[g];
+    #   _dirty[g]          — data whose free set or ``dataNotInMem_g``
+    #                        membership changed since the buckets were
+    #                        last brought up to date;
+    #   _scan_ops[g]       — Σ degree(d) over ``dataNotInMem_g \ held(g)``,
+    #                        what the paper's full scan charges.
     # Updated on held-set transitions (fetch issue, output allocation,
-    # eviction) and on tasks entering/leaving the unowned pool, so
-    # ``_refill`` answers "how many free tasks would loading d unlock"
-    # with one len() instead of rescanning ``users_of``.  Dependency
-    # release is filtered at query time (``is_released`` flips as tasks
-    # finish, without any per-datum event).  ``check_index`` asserts
-    # equality with a fresh rescan.
+    # eviction), on tasks entering/leaving the pool (a ``task_done``
+    # release hook adds the successors it releases) and on
+    # ``dataNotInMem`` changes, so a full-scan refill moves only the
+    # dirty data between buckets and reads the highest one.
+    # ``check_index`` asserts equality with a fresh rescan.
     def _build_index(self) -> None:
         view = self.view
         graph = view.graph
         self._miss_count: List[List[int]] = []
         self._miss_sum: List[List[int]] = []
         self._free_by_datum: List[Dict[int, Set[int]]] = []
+        self._buckets: List[Dict[int, Set[int]]] = []
+        self._bucket_of: List[List[int]] = []
+        self._dirty: List[Set[int]] = []
+        self._scan_ops: List[int] = []
         for g in range(view.n_gpus):
             held = view.held(g)
             mc = []
@@ -129,27 +159,46 @@ class Darts(Scheduler):
                 missing = [x for x in graph.inputs_of(t) if x not in held]
                 mc.append(len(missing))
                 ms.append(sum(missing))
-                if len(missing) == 1 and t in self._unowned:
+                if len(missing) == 1 and t in self._pool:
                     idx.setdefault(missing[0], set()).add(t)
             self._miss_count.append(mc)
             self._miss_sum.append(ms)
             self._free_by_datum.append(idx)
+            self._buckets.append({})
+            self._bucket_of.append([0] * graph.n_data)
+            self._dirty.append(set(idx))
+            self._scan_ops.append(
+                sum(u for d, u in enumerate(self._degree) if d not in held)
+            )
 
-    def _index_remove_task(self, t: int) -> None:
-        """``t`` leaves the unowned pool (planned or taken)."""
+    def _pool_remove(self, t: int) -> None:
+        """``t`` leaves the pool (planned or taken)."""
+        self._pool.discard(t)
         for g in range(self.view.n_gpus):
             if self._miss_count[g][t] == 1:
-                s = self._free_by_datum[g].get(self._miss_sum[g][t])
+                d = self._miss_sum[g][t]
+                s = self._free_by_datum[g].get(d)
                 if s is not None:
                     s.discard(t)
+                self._dirty[g].add(d)
 
-    def _index_add_task(self, t: int) -> None:
-        """``t`` returns to the unowned pool (un-reserved on eviction)."""
+    def _pool_add(self, t: int) -> None:
+        """``t`` joins the pool (released, or un-reserved)."""
+        self._pool.add(t)
         for g in range(self.view.n_gpus):
             if self._miss_count[g][t] == 1:
-                self._free_by_datum[g].setdefault(
-                    self._miss_sum[g][t], set()
-                ).add(t)
+                d = self._miss_sum[g][t]
+                self._free_by_datum[g].setdefault(d, set()).add(t)
+                self._dirty[g].add(d)
+
+    def _drop_not_in_mem(self, gpu: int, d: int) -> None:
+        """``d`` leaves ``dataNotInMem_gpu`` (claimed for loading)."""
+        not_in_mem = self._data_not_in_mem[gpu]
+        if d in not_in_mem:
+            not_in_mem.remove(d)
+            self._dirty[gpu].add(d)
+            if not self.view.holds(gpu, d):
+                self._scan_ops[gpu] -= self._degree[d]
 
     def check_index(self) -> None:
         """Assert the index equals a from-scratch recomputation (tests)."""
@@ -159,6 +208,18 @@ class Darts(Scheduler):
             -ru * graph.n_data + d
             for d, ru in enumerate(self._remaining_users)
         ], "order key out of step with remaining users"
+        assert all(view.is_released(t) for t in self._pool), (
+            "unreleased task in the pool"
+        )
+        assert not any(t in self._pool for q in self._planned for t in q), (
+            "planned task in the pool"
+        )
+        unreleased = sum(
+            1 for t in range(graph.n_tasks) if not view.is_released(t)
+        )
+        assert self._unreleased == unreleased, (
+            f"unreleased {self._unreleased} != {unreleased}"
+        )
         for g in range(view.n_gpus):
             if g in self._dead_gpus:
                 continue  # wiped memory makes the dead GPU's rows stale
@@ -174,10 +235,30 @@ class Darts(Scheduler):
                     f"gpu{g} task{t}: miss_sum "
                     f"{self._miss_sum[g][t]} != {sum(missing)}"
                 )
-                if len(missing) == 1 and t in self._unowned:
+                if len(missing) == 1 and t in self._pool:
                     idx.setdefault(missing[0], set()).add(t)
             live = {d: s for d, s in self._free_by_datum[g].items() if s}
             assert live == idx, f"gpu{g}: free_by_datum {live} != {idx}"
+            not_in_mem = self._data_not_in_mem[g]
+            scan = sum(self._degree[d] for d in not_in_mem if d not in held)
+            assert self._scan_ops[g] == scan, (
+                f"gpu{g}: scan_ops {self._scan_ops[g]} != {scan}"
+            )
+            bucket_of = self._bucket_of[g]
+            for d in range(graph.n_data):
+                if d in self._dirty[g]:
+                    continue
+                n = len(idx.get(d, ())) if d in not_in_mem else 0
+                assert bucket_of[d] == n, (
+                    f"gpu{g} datum{d}: bucket {bucket_of[d]} != {n}"
+                )
+            buckets: Dict[int, Set[int]] = {}
+            for d, n in enumerate(bucket_of):
+                if n:
+                    buckets.setdefault(n, set()).add(d)
+            assert self._buckets[g] == buckets, (
+                f"gpu{g}: buckets {self._buckets[g]} != {buckets}"
+            )
 
     # ------------------------------------------------------------------
     # Algorithm 5
@@ -187,78 +268,29 @@ class Darts(Scheduler):
         if planned:
             self.charge_ops(1)
             return planned.popleft()
-        if not self._unowned:
+        if not self._pool and not self._unreleased:
             return None
         return self._refill(gpu)
 
     def _refill(self, gpu: int) -> Optional[int]:
-        graph = self.view.graph
-        inmem = self.view.held(gpu)
-        planned = self._planned[gpu]
-        threshold = self.threshold if self._threshold_active else None
-        deps = self.view.has_dependencies
-        not_in_mem = self._data_not_in_mem[gpu]
-        idx = self._free_by_datum[gpu]
-
-        n_max = 0
-        candidates: List[int] = []
-        scanned = 0
-        # Iterate a sorted copy: deterministic under a fixed seed, and the
-        # set is mutated on selection.  The full scan is order-blind (it
-        # takes the max, ties broken randomly), but the early-exit modes
-        # are order-*sensitive*: visit data with the most remaining
-        # unprocessed users first, so the first hit is usually a good
-        # one (cheap to order, and what makes OPTI "close to optimal").
-        # One sort either way; the packed (-users, d) order key keeps the
-        # id tie order the old stable double sort produced.
-        if self.opti or threshold is not None:
-            scan_order = sorted(not_in_mem, key=self._order_key.__getitem__)
-        else:
-            scan_order = sorted(not_in_mem)
-        for d in scan_order:
-            if d in inmem:
-                not_in_mem.discard(d)  # stale entry: purge, don't revisit
-                continue
-            scanned += 1
-            self.charge_ops(len(graph.users_of(d)))
-            s = idx.get(d)
-            if not s:
-                n_d = 0
-            elif deps:
-                n_d = sum(1 for t in s if self.view.is_released(t))
-            else:
-                n_d = len(s)
-            if n_d > n_max:
-                n_max = n_d
-                candidates = [d]
-                if self.opti:
-                    break
-            elif n_d == n_max and n_d > 0:
-                candidates.append(d)
-            if threshold is not None and scanned >= threshold:
-                break
-
+        n_max, candidates = self._scan(gpu)
         if n_max > 0:
             d_opt = self._select_candidate(candidates)
-            self.charge_ops(len(graph.users_of(d_opt)))
-            s = idx.get(d_opt, set())
+            self.charge_ops(self._degree[d_opt])
+            s = self._free_by_datum[gpu][d_opt]
             # users_of order, not set order: the plan must be deterministic
-            free = [
-                t
-                for t in graph.users_of(d_opt)
-                if t in s and (not deps or self.view.is_released(t))
-            ]
+            free = [t for t in self.view.graph.users_of(d_opt) if t in s]
+            planned = self._planned[gpu]
             for t in free:
-                self._unowned.discard(t)
-                self._index_remove_task(t)
+                self._pool_remove(t)
                 planned.append(t)
-            self._data_not_in_mem[gpu].discard(d_opt)
+            self._drop_not_in_mem(gpu, d_opt)
             return planned.popleft()
 
         # No datum unlocks a task with a single load.
         if self.three_inputs:
-            self.charge_ops(len(self._unowned))
-            task = self._best_two_load_task(gpu, inmem)
+            self.charge_ops(len(self._pool) + self._unreleased)
+            task = self._best_two_load_task(gpu)
             if task is not None:
                 self._take(gpu, task)
                 return task
@@ -269,35 +301,121 @@ class Darts(Scheduler):
         self._take(gpu, task)
         return task
 
-    def _select_candidate(self, candidates: List[int]) -> int:
+    def _scan(self, gpu: int) -> Tuple[int, Collection[int]]:
+        """Algorithm 5's scan of ``dataNotInMem_gpu``, charged.
+
+        Returns the most pool tasks a single load unlocks and the data
+        unlocking that many (none when it is 0).  The full scan is
+        order-blind — it takes the max, and ``_select_candidate`` sorts
+        the ties — so it reads the highest count bucket and charges the
+        whole scan, ``_scan_ops``, at once.
+        """
+        if self.opti or self._threshold_active:
+            return self._ordered_scan(gpu)
+        buckets = self._buckets[gpu]
+        dirty = self._dirty[gpu]
+        if dirty:
+            idx = self._free_by_datum[gpu]
+            not_in_mem = self._data_not_in_mem[gpu]
+            bucket_of = self._bucket_of[gpu]
+            for d in dirty:
+                s = idx.get(d)
+                n = len(s) if s and d in not_in_mem else 0
+                old = bucket_of[d]
+                if n == old:
+                    continue
+                bucket_of[d] = n
+                if old:
+                    b = buckets[old]
+                    b.discard(d)
+                    if not b:
+                        del buckets[old]
+                if n:
+                    b = buckets.get(n)
+                    if b is None:
+                        buckets[n] = {d}
+                    else:
+                        b.add(d)
+            dirty.clear()
+        self.charge_ops(self._scan_ops[gpu])
+        if not buckets:
+            return 0, ()
+        n_max = max(buckets)
+        return n_max, buckets[n_max]
+
+    def _ordered_scan(self, gpu: int) -> Tuple[int, Collection[int]]:
+        """The early-exit (OPTI/threshold) scan.
+
+        Order-*sensitive*: visit data with the most remaining
+        unprocessed users first, so the first hit is usually a good one
+        (cheap to order, and what makes OPTI "close to optimal").  The
+        packed (-users, d) order key keeps the id tie order the old
+        stable double sort produced.  ``_order`` holds every datum and
+        is re-sorted in place, which is nearly free on the nearly
+        sorted list a few ``task_done`` calls leave; data outside
+        ``dataNotInMem_gpu`` are skipped, so the visit order is that of
+        ``sorted(dataNotInMem_gpu)`` by the same key.
+        """
+        holds = self.view.holds
+        not_in_mem = self._data_not_in_mem[gpu]
+        idx = self._free_by_datum[gpu]
+        degree = self._degree
+        limit = self.threshold if self._threshold_active else None
+        n_max = 0
+        candidates: List[int] = []
+        scanned = 0
+        ops = 0
+        order = self._order
+        order.sort(key=self._order_key.__getitem__)
+        for d in order:
+            if d not in not_in_mem:
+                continue
+            if holds(gpu, d):
+                not_in_mem.discard(d)  # stale entry: purge, don't revisit
+                continue
+            scanned += 1
+            ops += degree[d]
+            s = idx.get(d)
+            n_d = len(s) if s else 0
+            if n_d > n_max:
+                n_max = n_d
+                candidates = [d]
+                if self.opti:
+                    break
+            elif n_d == n_max and n_d > 0:
+                candidates.append(d)
+            if limit is not None and scanned >= limit:
+                break
+        self.charge_ops(ops)
+        return n_max, candidates
+
+    def _select_candidate(self, candidates: Collection[int]) -> int:
         """Among equally-unlocking data, prefer the most used overall."""
         if len(candidates) == 1:
-            return candidates[0]
+            return next(iter(candidates))
         best = max(self._remaining_users[d] for d in candidates)
         top = sorted(d for d in candidates if self._remaining_users[d] == best)
         return top[0] if len(top) == 1 else self._rng.choice(top)
 
-    def _best_two_load_task(
-        self, gpu: int, inmem: Set[int]
-    ) -> Optional[int]:
+    def _best_two_load_task(self, gpu: int) -> Optional[int]:
         """The 3inputs variant's fallback: tasks two loads away.
 
-        Find the datum ``D`` maximising the number of unowned tasks that
+        Find the datum ``D`` maximising the number of pool tasks that
         need ``D`` plus exactly one other absent datum; return one such
         task (so both its missing inputs get loaded).
         """
         graph = self.view.graph
+        holds = self.view.holds
+        mc = self._miss_count[gpu]
         score: Dict[int, int] = {}
         task_for: Dict[int, int] = {}
-        for t in sorted(self._unowned):
-            if not self.view.is_released(t):
+        for t in sorted(self._pool):
+            if mc[t] != 2:
                 continue
-            missing = [x for x in graph.inputs_of(t) if x not in inmem]
-            if len(missing) != 2:
-                continue
-            for d in missing:
-                score[d] = score.get(d, 0) + 1
-                task_for.setdefault(d, t)
+            for d in graph.inputs_of(t):
+                if not holds(gpu, d):
+                    score[d] = score.get(d, 0) + 1
+                    task_for.setdefault(d, t)
         if not score:
             return None
         best = max(score.values())
@@ -306,31 +424,35 @@ class Darts(Scheduler):
         return task_for[d]
 
     def _random_unowned(self) -> Optional[int]:
-        pool = sorted(
-            t for t in self._unowned if self.view.is_released(t)
-        )
+        pool = sorted(self._pool)
         if not pool:
             return None
         return self._rng.choice(pool)
 
     def _take(self, gpu: int, task: int) -> None:
         """Direct allocation (Algorithm 5 line 13)."""
-        self._unowned.discard(task)
-        self._index_remove_task(task)
+        self._pool_remove(task)
         for d in self.view.graph.inputs_of(task):
-            self._data_not_in_mem[gpu].discard(d)
+            self._drop_not_in_mem(gpu, d)
 
     # ------------------------------------------------------------------
     # notifications
     # ------------------------------------------------------------------
     def task_done(self, gpu: int, task_id: int) -> None:
         self._executed.add(task_id)
-        n_data = self.view.graph.n_data
-        for d in self.view.graph.inputs_of(task_id):
+        view = self.view
+        n_data = view.graph.n_data
+        for d in view.graph.inputs_of(task_id):
             self._remaining_users[d] -= 1
             self._order_key[d] += n_data
+        for succ in view.successors(task_id):
+            if view.is_released(succ):
+                self._unreleased -= 1
+                self._pool_add(succ)
 
     def on_data_loaded(self, gpu: int, data_id: int) -> None:
+        # held since its fetch was issued: n(d) and the scan charge
+        # already exclude it
         self._data_not_in_mem[gpu].discard(data_id)
 
     def on_fetch_issued(self, gpu: int, data_id: int) -> None:
@@ -339,18 +461,24 @@ class Darts(Scheduler):
         mc = self._miss_count[gpu]
         ms = self._miss_sum[gpu]
         idx = self._free_by_datum[gpu]
-        unowned = self._unowned
+        dirty = self._dirty[gpu]
+        pool = self._pool
+        dirty.add(data_id)
+        if data_id in self._data_not_in_mem[gpu]:
+            self._scan_ops[gpu] -= self._degree[data_id]
         for t in self.view.graph.users_of(data_id):
             old = mc[t]
             mc[t] = old - 1
             ms[t] -= data_id
-            if t in unowned:
+            if t in pool:
                 if old == 1:
                     s = idx.get(data_id)
                     if s is not None:
                         s.discard(t)
                 elif old == 2:
-                    idx.setdefault(ms[t], set()).add(t)
+                    d = ms[t]
+                    idx.setdefault(d, set()).add(t)
+                    dirty.add(d)
 
     def on_device_lost(self, gpu: int, requeued: Sequence[int]) -> None:
         """Return the dead GPU's reservations to the common pool.
@@ -366,30 +494,34 @@ class Darts(Scheduler):
         returned = list(requeued) + list(self._planned[gpu])
         self._planned[gpu].clear()
         for t in returned:
-            if t in self._executed or t in self._unowned:
+            if t in self._executed or t in self._pool:
                 continue
-            self._unowned.add(t)
-            self._index_add_task(t)
+            self._pool_add(t)
 
     def on_data_evicted(self, gpu: int, data_id: int) -> None:
         """Algorithm 6 line 8: un-reserve planned tasks needing the victim."""
         self._data_not_in_mem[gpu].add(data_id)
+        self._scan_ops[gpu] += self._degree[data_id]
         graph = self.view.graph
         mc = self._miss_count[gpu]
         ms = self._miss_sum[gpu]
         idx = self._free_by_datum[gpu]
-        unowned = self._unowned
+        dirty = self._dirty[gpu]
+        pool = self._pool
+        dirty.add(data_id)
         for t in graph.users_of(data_id):
             old = mc[t]
             mc[t] = old + 1
             ms[t] += data_id
-            if t in unowned:
+            if t in pool:
                 if old == 0:
                     idx.setdefault(data_id, set()).add(t)
                 elif old == 1:
-                    s = idx.get(ms[t] - data_id)
+                    d = ms[t] - data_id
+                    s = idx.get(d)
                     if s is not None:
                         s.discard(t)
+                    dirty.add(d)
         planned = self._planned[gpu]
         if not planned:
             return
@@ -397,8 +529,7 @@ class Darts(Scheduler):
         keep: List[int] = []
         for t in planned:
             if data_id in graph.inputs_of(t):
-                self._unowned.add(t)
-                self._index_add_task(t)
+                self._pool_add(t)
             else:
                 keep.append(t)
         if len(keep) != len(planned):

@@ -12,9 +12,14 @@ charge (see DESIGN.md, "Modeled cost vs implementation speed").
 
 import pytest
 
+from repro.dag.workloads import cholesky_dag
 from repro.experiments.harness import figure_spec, rep_seed
+from repro.platform.spec import tesla_v100_node
 from repro.schedulers.registry import make_scheduler
+from repro.simulator.faults import DeviceFailure, FaultPlan, TransferCorruption
 from repro.simulator.runtime import simulate
+from repro.workloads.cholesky import cholesky_tasks
+from repro.workloads.matmul2d import matmul2d
 
 #: (scheduler, n) -> (virtual_decision_time, makespan), fig5 spec, rep 0,
 #: recorded pre-optimization.  Exact equality — these are bit pins.
@@ -71,3 +76,79 @@ class TestDecisionCostPins:
             f"{scheduler} n={n}: makespan drifted "
             f"{result.makespan!r} != {makespan!r}"
         )
+
+
+def _mm2d_outputs():
+    """C-tile outputs: 288 data, 1.4 GB on 2 x 100 MB."""
+    return matmul2d(16, with_outputs=True), None, 2, 100e6, None
+
+
+def _cholesky_dag_faults():
+    """Dependencies, a GPU lost at 0.02 s and 2 % corrupted fetches."""
+    graph, deps = cholesky_dag(10)
+    faults = FaultPlan(
+        seed=7,
+        device_failures=(DeviceFailure(gpu=3, time=0.02),),
+        transfer_faults=TransferCorruption(probability=0.02),
+    )
+    return graph, deps, 4, 60e6, faults
+
+
+def _cholesky_tasks():
+    return cholesky_tasks(16), None, 4, None, None
+
+
+#: DARTS paths the fig5 pins miss, seed 1, recorded before the full
+#: scan became count buckets: (scheduler, case) -> (virtual_decision_time,
+#: makespan).  Exact equality — these are bit pins.
+CASES = {
+    "mm2d16-outputs": _mm2d_outputs,
+    "cholesky-dag10-faults": _cholesky_dag_faults,
+    "cholesky16": _cholesky_tasks,
+}
+DARTS_PINS = {
+    ("darts+luf", "mm2d16-outputs"): (
+        0.0034227999999999993,
+        0.14005479538217755,
+    ),
+    ("darts+luf", "cholesky-dag10-faults"): (
+        0.008461500000000031,
+        0.05426866075275859,
+    ),
+    ("darts+luf-3inputs", "cholesky-dag10-faults"): (
+        0.009648200000000001,
+        0.05631739085490076,
+    ),
+    ("darts+luf+opti-3inputs", "cholesky16"): (
+        0.0008600500000000071,
+        0.09242646595721467,
+    ),
+}
+
+
+class TestDartsPathPins:
+    @pytest.mark.parametrize(
+        "scheduler,case", sorted(DARTS_PINS), ids=lambda v: str(v)
+    )
+    def test_virtual_decision_time_and_makespan_bit_equal(
+        self, scheduler, case
+    ):
+        graph, deps, n_gpus, memory, faults = CASES[case]()
+        platform = (
+            tesla_v100_node(n_gpus)
+            if memory is None
+            else tesla_v100_node(n_gpus, memory_bytes=memory)
+        )
+        sched, eviction = make_scheduler(scheduler)
+        result = simulate(
+            graph,
+            platform,
+            sched,
+            eviction=eviction,
+            seed=1,
+            dependencies=deps,
+            faults=faults,
+        )
+        assert (result.virtual_decision_time, result.makespan) == (
+            DARTS_PINS[(scheduler, case)]
+        ), f"{scheduler} on {case}: a scheduling decision changed"

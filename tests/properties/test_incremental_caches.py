@@ -2,16 +2,20 @@
 
 The core optimization replaced from-scratch rescans with incremental
 state (memory present/fetching/evictable sets, the DARTS free-task
-index, the Ready missing-bytes cache and its pop heap).  These tests
-drive the caches through arbitrary operation sequences — both synthetic
-ones against a bare :class:`DeviceMemory` and real simulations on
-random graphs with uniform or heterogeneous whole-byte sizes, on graphs
-with outputs (C tiles, and produced data read downstream), on a
-Cholesky DAG losing a GPU mid-run, and under every list owner (DMDAR,
-mHFP, FIXED+R) — and assert at every step that each cache equals a
-fresh recomputation, and every Ready pop the linear scan it replaces,
-which is the invariant the byte-identity argument rests on.
+index with its count buckets and scan charge, the Ready missing-bytes
+cache and its pop heap).  These tests drive the caches through
+arbitrary operation sequences — both synthetic ones against a bare
+:class:`DeviceMemory` and real simulations on random graphs with
+uniform or heterogeneous whole-byte sizes, on graphs with outputs (C
+tiles, and produced data read downstream), on a Cholesky DAG losing a
+GPU mid-run, under every list owner (DMDAR, mHFP, FIXED+R) and every
+DARTS scan path — and assert at every step that each cache equals a
+fresh recomputation, every Ready pop the linear scan it replaces, and
+every DARTS refill the full scan it replaces, which is the invariant
+the byte-identity argument rests on.
 """
+
+import functools
 
 import pytest
 from hypothesis import given, settings
@@ -90,8 +94,65 @@ class TestMemoryIncrementalSets:
         mem.check_invariants()
 
 
+def reference_refill(darts, gpu):
+    """The scan of ``dataNotInMem_gpu`` as a loop over every datum.
+
+    This is ``Darts._refill``'s scan from before the count buckets,
+    minus its purge of stale entries (the reference must not mutate).
+    Returns ``(n_max, candidates, ops)``: the most free tasks a single
+    load unlocks, the data unlocking that many, and the ops the scan
+    charges.
+    """
+    view = darts.view
+    graph = view.graph
+    inmem = view.held(gpu)
+    threshold = darts.threshold if darts._threshold_active else None
+    deps = view.has_dependencies
+    not_in_mem = darts._data_not_in_mem[gpu]
+    idx = darts._free_by_datum[gpu]
+
+    n_max = 0
+    candidates = []
+    scanned = 0
+    ops = 0
+    if darts.opti or threshold is not None:
+        scan_order = sorted(not_in_mem, key=darts._order_key.__getitem__)
+    else:
+        scan_order = sorted(not_in_mem)
+    for d in scan_order:
+        if d in inmem:
+            continue
+        scanned += 1
+        ops += len(graph.users_of(d))
+        s = idx.get(d)
+        if not s:
+            n_d = 0
+        elif deps:
+            n_d = sum(1 for t in s if view.is_released(t))
+        else:
+            n_d = len(s)
+        if n_d > n_max:
+            n_max = n_d
+            candidates = [d]
+            if darts.opti:
+                break
+        elif n_d == n_max and n_d > 0:
+            candidates.append(d)
+        if threshold is not None and scanned >= threshold:
+            break
+    return n_max, set(candidates), ops
+
+
 class _CheckedDarts(Darts):
-    """DARTS that re-verifies its free-task index on every memory event."""
+    """DARTS that re-verifies its free-task index on every event, and
+    every refill's scan against :func:`reference_refill`."""
+
+    def _scan(self, gpu):
+        expected = reference_refill(self, gpu)
+        before = self._ops
+        n_max, candidates = super()._scan(gpu)
+        assert (n_max, set(candidates), self._ops - before) == expected
+        return n_max, candidates
 
     def on_fetch_issued(self, gpu, data_id):
         super().on_fetch_issued(gpu, data_id)
@@ -101,10 +162,38 @@ class _CheckedDarts(Darts):
         super().on_data_evicted(gpu, data_id)
         self.check_index()
 
+    def on_data_loaded(self, gpu, data_id):
+        super().on_data_loaded(gpu, data_id)
+        self.check_index()
+
+    def task_done(self, gpu, task_id):
+        super().task_done(gpu, task_id)
+        self.check_index()
+
+    def on_device_lost(self, gpu, requeued):
+        super().on_device_lost(gpu, requeued)
+        self.check_index()
+
     def next_task(self, gpu):
         task = super().next_task(gpu)
         self.check_index()
         return task
+
+
+#: the full scan and each early-exit or fallback path of the refill
+DARTS_VARIANTS = [
+    pytest.param(functools.partial(_CheckedDarts), id="full"),
+    pytest.param(functools.partial(_CheckedDarts, opti=True), id="opti"),
+    pytest.param(
+        functools.partial(_CheckedDarts, three_inputs=True), id="3inputs"
+    ),
+    pytest.param(
+        functools.partial(
+            _CheckedDarts, threshold=2, threshold_activation_ratio=0.0
+        ),
+        id="threshold",
+    ),
+]
 
 
 def reference_pop(lists, gpu):
@@ -290,12 +379,12 @@ def failure_dag_case(draw):
     return graph, deps, memory, n_gpus, window, seed, faults
 
 
-def run_checked(cls, case):
+def run_checked(make, case):
     graph, deps, memory, n_gpus, window, seed, faults = case
     result = simulate(
         graph,
         toy_platform(n_gpus=n_gpus, memory=memory, bandwidth=5.0),
-        cls(),
+        make(),
         window=window,
         seed=seed,
         dependencies=deps,
@@ -308,10 +397,11 @@ def run_checked(cls, case):
 class TestSchedulerCachesMatchRecompute:
     """DARTS's index and the Ready cache equal a rebuild mid-run."""
 
-    @given(graph_case())
-    @settings(max_examples=60, deadline=None)
-    def test_darts_index_matches_fresh_recompute(self, case):
-        run_checked(_CheckedDarts, case)
+    @pytest.mark.parametrize("make", DARTS_VARIANTS)
+    @given(case=graph_case())
+    @settings(max_examples=40, deadline=None)
+    def test_darts_index_matches_fresh_recompute(self, make, case):
+        run_checked(make, case)
 
     @pytest.mark.parametrize("cls", READY_OWNERS)
     @given(case=graph_case())
@@ -319,10 +409,11 @@ class TestSchedulerCachesMatchRecompute:
     def test_ready_cache_matches_missing_bytes(self, cls, case):
         run_checked(cls, case)
 
-    @given(output_case())
-    @settings(max_examples=40, deadline=None)
-    def test_darts_index_matches_with_outputs(self, case):
-        run_checked(_CheckedDarts, case)
+    @pytest.mark.parametrize("make", DARTS_VARIANTS)
+    @given(case=output_case())
+    @settings(max_examples=30, deadline=None)
+    def test_darts_index_matches_with_outputs(self, make, case):
+        run_checked(make, case)
 
     @pytest.mark.parametrize("cls", READY_OWNERS)
     @given(case=output_case())
@@ -338,3 +429,12 @@ class TestSchedulerCachesMatchRecompute:
     ):
         """Releases, stealing and ``drop_gpu`` all move the pop index."""
         run_checked(cls, case)
+
+    @pytest.mark.parametrize("make", DARTS_VARIANTS)
+    @given(case=failure_dag_case())
+    @settings(max_examples=25, deadline=None)
+    def test_darts_index_matches_on_dag_with_device_failure(
+        self, make, case
+    ):
+        """Releases and ``on_device_lost`` move the pool and buckets."""
+        run_checked(make, case)

@@ -91,7 +91,7 @@ class TestEvictionCoupling:
         # planned tasks that needed the victim went back to the pool
         for t in planned_before:
             if row in figure1_graph.inputs_of(t):
-                assert t in sched._unowned
+                assert t in sched._pool
                 assert t not in sched.planned_tasks(0)
 
     def test_unplanned_tasks_can_go_to_other_gpu(self, figure1_graph):
