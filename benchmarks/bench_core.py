@@ -21,6 +21,11 @@ Measures the layers touched by the profile-guided core optimization —
                with C-tile outputs on 4 × V100 at 250 MB for n = 32/48/64
                (1k to 4.1k tasks), min-of-3 wall time with its spread,
                plus the exact Σ of the ops its decisions charge,
+* evict      — what the memory events (victim choice, the held-set
+               hooks) cost as the task count grows: DMDAR+LRU and
+               DARTS+LUF on matmul2d on 4 × V100 at 500 MB for
+               n = 120/160/200 (14.4k to 40k tasks), min-of-3 wall time
+               with its spread, plus the exact total of evictions,
 
 and writes the numbers to ``BENCH_core.json`` (repo root) next to the
 **pre-optimization baselines** recorded below, with the speedup of each
@@ -31,10 +36,11 @@ is wall clock.
 
 Cross-machine comparisons use ``calibration_s`` — the time of a fixed
 pure-Python loop — to normalize: ``--check OLD.json`` compares
-``e2e/calibration``, ``ready/calibration``, ``partition/calibration``
-and ``darts/calibration`` ratios and fails on a >``--tolerance``
-regression, or on any change of the exact Σ ``last_scanned`` counts,
-partition cuts or DARTS charged ops; the CI perf-smoke job runs it
+``e2e/calibration``, ``ready/calibration``, ``partition/calibration``,
+``darts/calibration`` and ``evict/calibration`` ratios and fails on a
+>``--tolerance`` regression, or on any change of the exact Σ
+``last_scanned`` counts, partition cuts, DARTS charged ops or eviction
+totals; the CI perf-smoke job runs it
 against the committed file.
 
 Usage::
@@ -112,6 +118,18 @@ PARTITION_NS = (40, 60, 80)
 DARTS_BASELINE: Dict[int, float] = {32: 0.267, 48: 1.201, 64: 3.684}
 #: matmul2d sizes of the ``darts_scaling`` section (``--quick``: first only)
 DARTS_NS = (32, 48, 64)
+
+#: ``evict_scaling`` wall times (seconds) per strategy and ``n`` with
+#: the victim choice that ran a ``min`` over every candidate and held-set
+#: hooks that did arithmetic for every user of the datum: the better of
+#: two min-of-3 runs, alternated with runs of the current code, on the
+#: 2-CPU host that first recorded the section in BENCH_core.json.
+EVICT_BASELINE: Dict[str, Dict[int, float]] = {
+    "dmdar": {120: 0.530, 160: 2.156, 200: 5.180},
+    "darts+luf": {120: 0.603, 160: 1.928, 200: 4.252},
+}
+#: matmul2d sizes of the ``evict_scaling`` section (``--quick``: first only)
+EVICT_NS = (120, 160, 200)
 
 
 def _usable_cpus() -> int:
@@ -339,6 +357,35 @@ def bench_darts_scaling(ns: List[int], reps: int = 3) -> Dict[str, Any]:
     )
 
 
+def bench_evict_scaling(ns: List[int], reps: int = 3) -> Dict[str, Any]:
+    """DMDAR+LRU and DARTS+LUF on matmul2d, 4 × V100 at 500 MB: wall
+    time vs task count, keyed ``scheduler:n``.
+
+    Every eviction runs the policy's victim choice and both held-set
+    hooks; the total of evictions is host-independent, so ``--check``
+    compares it exactly.
+    """
+    from repro import matmul2d, tesla_v100_node
+    from repro.schedulers.registry import make_scheduler
+    from repro.simulator.runtime import simulate
+
+    platform = tesla_v100_node(n_gpus=4, memory_bytes=500e6)
+    out: Dict[str, Any] = {}
+    for name, baseline in EVICT_BASELINE.items():
+
+        def run(graph: Any) -> int:
+            sched, eviction = make_scheduler(name)
+            return simulate(
+                graph, platform, sched, eviction=eviction, seed=0
+            ).total_evictions
+
+        cells = _scaling(
+            f"evict {name}", ns, matmul2d, run, "evictions", baseline, reps
+        )
+        out.update((f"{name}:{n}", cell) for n, cell in cells.items())
+    return out
+
+
 def bench_partition(ns: List[int], reps: int = 3) -> Dict[str, Any]:
     """``partition_tasks(matmul2d(n), 4)``: static-phase wall time.
 
@@ -393,6 +440,9 @@ def run_benchmarks(quick: bool) -> Dict[str, Any]:
     )
     report["darts_scaling"] = bench_darts_scaling(
         list(DARTS_NS[:1] if quick else DARTS_NS)
+    )
+    report["evict_scaling"] = bench_evict_scaling(
+        list(EVICT_NS[:1] if quick else EVICT_NS)
     )
 
     for key, schedulers in cells.items():
@@ -451,6 +501,7 @@ def check_regression(
         ("ready_scaling", "ready_scanned", "ready"),
         ("partition", "cut_bytes", "partition"),
         ("darts_scaling", "ops_charged", "darts"),
+        ("evict_scaling", "evictions", "evict"),
     ):
         old_cells = old.get(section, {})
         for n, cell in report.get(section, {}).items():
@@ -474,8 +525,8 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="fig3 cells, ready n=80, partition n=40 and darts n=32 only, "
-        "single e2e rep (CI perf smoke)",
+        help="fig3 cells, ready n=80, partition n=40, darts n=32 and "
+        "evict n=120 only, single e2e rep (CI perf smoke)",
     )
     parser.add_argument("--out", default=DEFAULT_OUT, help="output JSON path")
     parser.add_argument(

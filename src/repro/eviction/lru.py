@@ -13,18 +13,23 @@ from repro.eviction.base import EvictionPolicy
 
 
 class LruPolicy(EvictionPolicy):
-    """Evict the candidate whose last load-or-use is the oldest."""
+    """Evict the candidate whose last load-or-use is the oldest.
+
+    ``_recency`` lists the tracked data least recently touched first (a
+    touch re-inserts the key).  An untracked candidate counts as older
+    than any tracked one; among several, the lowest id goes.
+    """
 
     name = "lru"
 
     def __init__(self, gpu, view=None, scheduler=None) -> None:
         super().__init__(gpu, view, scheduler)
-        self._stamp: Dict[int, int] = {}
-        self._clock = 0
+        self._recency: Dict[int, None] = {}
 
     def _touch(self, d: int) -> None:
-        self._clock += 1
-        self._stamp[d] = self._clock
+        recency = self._recency
+        recency.pop(d, None)
+        recency[d] = None
 
     def on_insert(self, data_id: int) -> None:
         self._touch(data_id)
@@ -33,7 +38,12 @@ class LruPolicy(EvictionPolicy):
         self._touch(data_id)
 
     def on_evict(self, data_id: int) -> None:
-        self._stamp.pop(data_id, None)
+        self._recency.pop(data_id, None)
 
     def choose_victim(self, candidates: Set[int]) -> int:
-        return min(candidates, key=lambda d: (self._stamp.get(d, -1), d))
+        recency = self._recency
+        if recency.keys() >= candidates:
+            for d in recency:
+                if d in candidates:
+                    return d
+        return min(candidates - recency.keys())

@@ -11,6 +11,9 @@ When an eviction is needed on GPU ``k``:
 3. otherwise fall back to Belady's rule over the task buffer: evict the
    candidate whose next use there is furthest in the future.
 
+``nb(D) = 0`` is read as absence from the buffer's inputs, and ``np``
+is counted only when every such candidate is also planned.
+
 The scheduler is then notified through ``on_data_evicted`` and removes
 the planned tasks that depended on the victim (Algorithm 6, line 8) —
 that part lives in :class:`repro.schedulers.darts.Darts`.
@@ -18,7 +21,7 @@ that part lives in :class:`repro.schedulers.darts.Darts`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set
 
 from repro.eviction.base import EvictionPolicy
 
@@ -28,36 +31,34 @@ class LufPolicy(EvictionPolicy):
 
     name = "luf"
 
-    def _counts(
-        self, candidates: Set[int]
-    ) -> Tuple[Dict[int, int], Dict[int, int], List[int]]:
+    def choose_victim(self, candidates: Set[int]) -> int:
         assert self.view is not None
         graph = self.view.graph
+        inputs_of = graph.inputs_of
         buffer = self.view.task_buffer(self.gpu)
-        planned = (
-            self.scheduler.planned_tasks(self.gpu)
-            if self.scheduler is not None
-            else ()
-        )
-        nb = {d: 0 for d in candidates}
-        np_ = {d: 0 for d in candidates}
+        used: Set[int] = set()
         for t in buffer:
-            for d in graph.inputs_of(t):
-                if d in nb:
-                    nb[d] += 1
-        for t in planned:
-            for d in graph.inputs_of(t):
-                if d in np_:
-                    np_[d] += 1
-        return nb, np_, buffer
-
-    def choose_victim(self, candidates: Set[int]) -> int:
-        nb, np_, buffer = self._counts(candidates)
-        unused = [d for d in sorted(candidates) if nb[d] == 0]
+            used.update(inputs_of(t))
+        unused = candidates - used
         if unused:
-            return min(unused, key=lambda d: (np_[d], d))
+            planned = (
+                self.scheduler.planned_tasks(self.gpu)
+                if self.scheduler is not None
+                else ()
+            )
+            in_plan: Set[int] = set()
+            for t in planned:
+                in_plan.update(inputs_of(t))
+            never = unused - in_plan
+            if never:
+                return min(never)
+            np_: Dict[int, int] = dict.fromkeys(unused, 0)
+            for t in planned:
+                for d in inputs_of(t):
+                    if d in np_:
+                        np_[d] += 1
+            return min(np_, key=lambda d: (np_[d], d))
         # Belady fallback over the task buffer (rarely reached, per paper).
-        graph = self.view.graph
 
         def next_use(d: int) -> int:
             for offset, t in enumerate(buffer):

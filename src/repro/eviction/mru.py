@@ -8,33 +8,23 @@ show the paper's EAGER pathology is an LRU artefact, not a law.
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Set
 
-from repro.eviction.base import EvictionPolicy
+from repro.eviction.lru import LruPolicy
 
 
-class MruPolicy(EvictionPolicy):
-    """Evict the candidate touched most recently."""
+class MruPolicy(LruPolicy):
+    """Evict the candidate touched most recently.
+
+    Reads LRU's recency order from the other end.  A candidate never
+    touched counts as the oldest, so it goes only when no candidate is
+    tracked, and then the lowest id goes.
+    """
 
     name = "mru"
 
-    def __init__(self, gpu, view=None, scheduler=None) -> None:
-        super().__init__(gpu, view, scheduler)
-        self._stamp: Dict[int, int] = {}
-        self._clock = 0
-
-    def _touch(self, d: int) -> None:
-        self._clock += 1
-        self._stamp[d] = self._clock
-
-    def on_insert(self, data_id: int) -> None:
-        self._touch(data_id)
-
-    def on_access(self, data_id: int) -> None:
-        self._touch(data_id)
-
-    def on_evict(self, data_id: int) -> None:
-        self._stamp.pop(data_id, None)
-
     def choose_victim(self, candidates: Set[int]) -> int:
-        return max(candidates, key=lambda d: (self._stamp.get(d, -1), -d))
+        for d in reversed(self._recency):
+            if d in candidates:
+                return d
+        return min(candidates)

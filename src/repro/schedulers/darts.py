@@ -77,12 +77,11 @@ class Darts(Scheduler):
         self._rng = view.rng
         #: released tasks not yet reserved by any GPU nor executed: what
         #: a refill may plan or take
-        self._pool: Set[int] = {
-            t for t in range(graph.n_tasks) if view.is_released(t)
-        }
+        self._pool: Set[int] = set()
+        released = [t for t in range(graph.n_tasks) if view.is_released(t)]
         #: tasks waiting on a predecessor; none is owned, so the unowned
         #: tasks number ``len(_pool) + _unreleased``
-        self._unreleased = graph.n_tasks - len(self._pool)
+        self._unreleased = graph.n_tasks - len(released)
         #: tasks reading each datum: what scanning it charges
         self._degree: List[int] = [
             graph.degree(d) for d in range(graph.n_data)
@@ -112,7 +111,7 @@ class Darts(Scheduler):
             and graph.working_set_bytes
             > self.threshold_activation_ratio * total_memory
         )
-        self._build_index()
+        self._build_index(released)
 
     # ------------------------------------------------------------------
     # incremental free-task index
@@ -120,7 +119,8 @@ class Darts(Scheduler):
     #
     # ``n(D)`` of Algorithm 5 counts the pool tasks (unowned, released)
     # whose only input absent from held(g) is ``D``.  Per GPU ``g``:
-    #   _miss_count[g][t]  — number of t's inputs not in held(g);
+    #   _miss_count[g][t]  — number of t's inputs not in held(g), kept
+    #                        only while t is in the pool (``_pool_add``);
     #   _miss_sum[g][t]    — sum of those input ids (when the count is 1
     #                        this identifies the single missing datum);
     #   _free_by_datum[g]  — datum d → set of pool tasks whose only
@@ -140,7 +140,7 @@ class Darts(Scheduler):
     # ``dataNotInMem`` changes, so a full-scan refill moves only the
     # dirty data between buckets and reads the highest one.
     # ``check_index`` asserts equality with a fresh rescan.
-    def _build_index(self) -> None:
+    def _build_index(self, released: List[int]) -> None:
         view = self.view
         graph = view.graph
         self._miss_count: List[List[int]] = []
@@ -152,24 +152,17 @@ class Darts(Scheduler):
         self._scan_ops: List[int] = []
         for g in range(view.n_gpus):
             held = view.held(g)
-            mc = []
-            ms = []
-            idx: Dict[int, Set[int]] = {}
-            for t in range(graph.n_tasks):
-                missing = [x for x in graph.inputs_of(t) if x not in held]
-                mc.append(len(missing))
-                ms.append(sum(missing))
-                if len(missing) == 1 and t in self._pool:
-                    idx.setdefault(missing[0], set()).add(t)
-            self._miss_count.append(mc)
-            self._miss_sum.append(ms)
-            self._free_by_datum.append(idx)
+            self._miss_count.append([0] * graph.n_tasks)
+            self._miss_sum.append([0] * graph.n_tasks)
+            self._free_by_datum.append({})
             self._buckets.append({})
             self._bucket_of.append([0] * graph.n_data)
-            self._dirty.append(set(idx))
+            self._dirty.append(set())
             self._scan_ops.append(
                 sum(u for d, u in enumerate(self._degree) if d not in held)
             )
+        for t in released:
+            self._pool_add(t)
 
     def _pool_remove(self, t: int) -> None:
         """``t`` leaves the pool (planned or taken)."""
@@ -185,11 +178,19 @@ class Darts(Scheduler):
     def _pool_add(self, t: int) -> None:
         """``t`` joins the pool (released, or un-reserved)."""
         self._pool.add(t)
+        holds = self.view.holds
+        inputs = self.view.graph.inputs_of(t)
         for g in range(self.view.n_gpus):
-            if self._miss_count[g][t] == 1:
-                d = self._miss_sum[g][t]
-                self._free_by_datum[g].setdefault(d, set()).add(t)
-                self._dirty[g].add(d)
+            count = total = 0
+            for x in inputs:
+                if not holds(g, x):
+                    count += 1
+                    total += x
+            self._miss_count[g][t] = count
+            self._miss_sum[g][t] = total
+            if count == 1:
+                self._free_by_datum[g].setdefault(total, set()).add(t)
+                self._dirty[g].add(total)
 
     def _drop_not_in_mem(self, gpu: int, d: int) -> None:
         """``d`` leaves ``dataNotInMem_gpu`` (claimed for loading)."""
@@ -225,7 +226,7 @@ class Darts(Scheduler):
                 continue  # wiped memory makes the dead GPU's rows stale
             held = view.held(g)
             idx: Dict[int, Set[int]] = {}
-            for t in range(graph.n_tasks):
+            for t in self._pool:
                 missing = [x for x in graph.inputs_of(t) if x not in held]
                 assert self._miss_count[g][t] == len(missing), (
                     f"gpu{g} task{t}: miss_count "
@@ -235,7 +236,7 @@ class Darts(Scheduler):
                     f"gpu{g} task{t}: miss_sum "
                     f"{self._miss_sum[g][t]} != {sum(missing)}"
                 )
-                if len(missing) == 1 and t in self._pool:
+                if len(missing) == 1:
                     idx.setdefault(missing[0], set()).add(t)
             live = {d: s for d, s in self._free_by_datum[g].items() if s}
             assert live == idx, f"gpu{g}: free_by_datum {live} != {idx}"
@@ -467,18 +468,19 @@ class Darts(Scheduler):
         if data_id in self._data_not_in_mem[gpu]:
             self._scan_ops[gpu] -= self._degree[data_id]
         for t in self.view.graph.users_of(data_id):
+            if t not in pool:
+                continue
             old = mc[t]
             mc[t] = old - 1
             ms[t] -= data_id
-            if t in pool:
-                if old == 1:
-                    s = idx.get(data_id)
-                    if s is not None:
-                        s.discard(t)
-                elif old == 2:
-                    d = ms[t]
-                    idx.setdefault(d, set()).add(t)
-                    dirty.add(d)
+            if old == 1:
+                s = idx.get(data_id)
+                if s is not None:
+                    s.discard(t)
+            elif old == 2:
+                d = ms[t]
+                idx.setdefault(d, set()).add(t)
+                dirty.add(d)
 
     def on_device_lost(self, gpu: int, requeued: Sequence[int]) -> None:
         """Return the dead GPU's reservations to the common pool.
@@ -510,18 +512,19 @@ class Darts(Scheduler):
         pool = self._pool
         dirty.add(data_id)
         for t in graph.users_of(data_id):
+            if t not in pool:
+                continue
             old = mc[t]
             mc[t] = old + 1
             ms[t] += data_id
-            if t in pool:
-                if old == 0:
-                    idx.setdefault(data_id, set()).add(t)
-                elif old == 1:
-                    d = ms[t] - data_id
-                    s = idx.get(d)
-                    if s is not None:
-                        s.discard(t)
-                    dirty.add(d)
+            if old == 0:
+                idx.setdefault(data_id, set()).add(t)
+            elif old == 1:
+                d = ms[t] - data_id
+                s = idx.get(d)
+                if s is not None:
+                    s.discard(t)
+                dirty.add(d)
         planned = self._planned[gpu]
         if not planned:
             return

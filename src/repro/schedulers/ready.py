@@ -32,13 +32,14 @@ class ReadyLists:
     can charge decision operations to the runtime's virtual scheduler
     clock.
 
-    Missing bytes come from a per-GPU array, built from the view's
-    held-sets at construction and updated by :meth:`on_fetch_issued` /
-    :meth:`on_data_evicted` as the owner scheduler receives those hooks.
-    The cache always equals a fresh ``missing_bytes`` sum: every held-set
-    entry arrives with an event (fetch issue or output allocation), and
-    data sizes are whole bytes.  ``check_incremental`` asserts the
-    equality (tests).
+    Missing bytes come from a per-GPU array that holds a value only for
+    the tasks listed on that GPU: :meth:`_enlist` computes it from the
+    view's held-set, and :meth:`on_fetch_issued` / :meth:`on_data_evicted`
+    update it for the listed users of the datum as the owner scheduler
+    receives those hooks.  A listed task's value always equals a fresh
+    ``missing_bytes`` sum: every held-set entry arrives with an event
+    (fetch issue or output allocation), and data sizes are whole bytes.
+    ``check_incremental`` asserts the equality (tests).
 
     The pop itself reads a per-GPU lazy min-heap keyed ``(missing bytes,
     slot)``.  Every enlistment at a list's tail takes the next *slot*
@@ -64,17 +65,9 @@ class ReadyLists:
         self._dead: Set[int] = set()
         graph = view.graph
         self._graph = graph
-        self._sizes = sizes = [int(d.size) for d in graph.data]
-        #: per-GPU missing bytes per task
-        self._mb: List[List[int]] = []
-        for g in range(n_gpus):
-            held = view.held(g)
-            self._mb.append(
-                [
-                    sum(sizes[d] for d in graph.inputs_of(t) if d not in held)
-                    for t in range(graph.n_tasks)
-                ]
-            )
+        self._sizes = [int(d.size) for d in graph.data]
+        #: per-GPU missing bytes per task, current while it is listed there
+        self._mb: List[List[int]] = [[0] * graph.n_tasks for _ in range(n_gpus)]
         #: slot -> the task enlisted at it
         self._task_at: List[int] = []
         #: per-GPU task -> slot while listed on that GPU, else -1
@@ -92,12 +85,18 @@ class ReadyLists:
         heap = self._heap[gpu]
         mb = self._mb[gpu]
         task_at = self._task_at
+        sizes = self._sizes
+        inputs_of = self._graph.inputs_of
+        holds = self.view.holds
         for task in tasks:
             s = len(task_at)
             task_at.append(task)
             slot[task] = s
             lst.append(task)
-            heappush(heap, mb[task] << _SLOT_BITS | s)
+            m = mb[task] = sum(
+                sizes[d] for d in inputs_of(task) if not holds(gpu, d)
+            )
+            heappush(heap, m << _SLOT_BITS | s)
 
     def _compact(self, gpu: int) -> None:
         """Rebuild ``gpu``'s heap from its listed tasks' true keys."""
@@ -113,18 +112,20 @@ class ReadyLists:
         heap = self._heap[gpu]
         sz = self._sizes[data_id]
         for t in self._graph.users_of(data_id):
-            m = mb[t] = mb[t] - sz
             s = slot[t]
             if s >= 0:
+                m = mb[t] = mb[t] - sz
                 heappush(heap, m << _SLOT_BITS | s)
         if len(heap) > 2 * len(self.lists[gpu]):
             self._compact(gpu)
 
     def on_data_evicted(self, gpu: int, data_id: int) -> None:
         mb = self._mb[gpu]
+        slot = self._slot[gpu]
         sz = self._sizes[data_id]
         for t in self._graph.users_of(data_id):
-            mb[t] += sz
+            if slot[t] >= 0:
+                mb[t] += sz
 
     def on_task_done(self, task: int) -> None:
         """Index the successors ``task``'s completion released."""
@@ -167,11 +168,10 @@ class ReadyLists:
             self._enlist(target, (task,))
 
     def check_incremental(self) -> None:
-        """Assert the cache equals fresh ``missing_bytes`` (tests)."""
-        for g in range(len(self.lists)):
-            if g in self._dead:
-                continue  # wiped memory makes the cached rows stale
-            for t in range(self._graph.n_tasks):
+        """Assert each listed task's cached value equals a fresh
+        ``missing_bytes`` (tests)."""
+        for g, lst in enumerate(self.lists):
+            for t in lst:
                 fresh = self.view.missing_bytes(g, t)
                 assert self._mb[g][t] == fresh, (
                     f"gpu{g} task{t}: cached {self._mb[g][t]} != {fresh}"

@@ -41,11 +41,6 @@ class RuntimeView:
         injection can remove devices mid-run)."""
         return not self._rt.dead[gpu]
 
-    def alive_gpus(self) -> List[int]:
-        """Indices of the GPUs still alive, ascending."""
-        dead = self._rt.dead
-        return [k for k in range(self.platform.n_gpus) if not dead[k]]
-
     def present(self, gpu: int) -> Set[int]:
         """Data fully resident on ``gpu``."""
         return self._rt.memories[gpu].present_set()

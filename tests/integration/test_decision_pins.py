@@ -152,3 +152,49 @@ class TestDartsPathPins:
         assert (result.virtual_decision_time, result.makespan) == (
             DARTS_PINS[(scheduler, case)]
         ), f"{scheduler} on {case}: a scheduling decision changed"
+
+
+#: LRU victims among C-tile outputs, and Ready's enlist-time cache after
+#: ``drop_gpu`` (DMDAR) and after stealing (mHFP), seed 1, recorded
+#: before victim choice used the recency order and before the Ready
+#: cache held values only for listed tasks: (scheduler, case) ->
+#: (virtual_decision_time, makespan).  Exact equality — bit pins.
+MEMORY_EVENT_PINS = {
+    ("eager", "mm2d16-outputs"): (1.3899999999999965e-05, 0.26931565930732654),
+    ("eager", "cholesky-dag10-faults"): (
+        2.350000000000015e-05,
+        0.07256595526650109,
+    ),
+    ("dmdar", "mm2d16-outputs"): (0.0005607000000000006, 0.285337438527126),
+    ("dmdar", "cholesky-dag10-faults"): (
+        0.00043244999999999867,
+        0.05961050131668303,
+    ),
+    ("mhfp", "cholesky-dag10-faults"): (
+        0.0007637500000000009,
+        0.06329375064832675,
+    ),
+}
+
+
+class TestMemoryEventPins:
+    @pytest.mark.parametrize(
+        "scheduler,case", sorted(MEMORY_EVENT_PINS), ids=lambda v: str(v)
+    )
+    def test_virtual_decision_time_and_makespan_bit_equal(
+        self, scheduler, case
+    ):
+        graph, deps, n_gpus, memory, faults = CASES[case]()
+        sched, eviction = make_scheduler(scheduler)
+        result = simulate(
+            graph,
+            tesla_v100_node(n_gpus, memory_bytes=memory),
+            sched,
+            eviction=eviction,
+            seed=1,
+            dependencies=deps,
+            faults=faults,
+        )
+        assert (result.virtual_decision_time, result.makespan) == (
+            MEMORY_EVENT_PINS[(scheduler, case)]
+        ), f"{scheduler} on {case}: a scheduling decision changed"

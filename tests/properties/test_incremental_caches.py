@@ -12,7 +12,15 @@ GPU mid-run, under every list owner (DMDAR, mHFP, FIXED+R) and every
 DARTS scan path — and assert at every step that each cache equals a
 fresh recomputation, every Ready pop the linear scan it replaces, and
 every DARTS refill the full scan it replaces, which is the invariant
-the byte-identity argument rests on.
+the byte-identity argument rests on.  The Ready cache and DARTS's miss
+counters hold values only for live entries (tasks listed on a GPU,
+tasks in the pool), so those are what the checks compare.
+
+Victim choice is held to the same standard: LRU/MRU read a
+recency-ordered dict and LUF counts only the uses that decide, and both
+must pick what the per-candidate rules they replaced
+(:func:`reference_lru_victim`, :func:`reference_luf_victim`) pick, over
+random histories and in every eviction of real runs.
 """
 
 import functools
@@ -25,8 +33,12 @@ from repro.core.problem import TaskGraph
 from repro.core.schedule import Schedule
 from repro.dag.deps import DependencySet
 from repro.dag.workloads import cholesky_dag
+from repro.eviction.lru import LruPolicy
+from repro.eviction.luf import LufPolicy
+from repro.eviction.mru import MruPolicy
 from repro.schedulers.darts import Darts
 from repro.schedulers.dmda import Dmdar
+from repro.schedulers.eager import Eager
 from repro.schedulers.fixed import FixedSchedule
 from repro.schedulers.hfp import Mhfp
 from repro.simulator.faults import DeviceFailure, FaultPlan
@@ -36,6 +48,7 @@ from repro.workloads.matmul2d import matmul2d
 from repro.workloads.randomgraph import random_bipartite
 
 from tests.conftest import toy_platform
+from tests.eviction.test_policies import FakeScheduler, FakeView
 from tests.simulator.test_memory import make_memory
 
 N_DATA = 8
@@ -379,12 +392,13 @@ def failure_dag_case(draw):
     return graph, deps, memory, n_gpus, window, seed, faults
 
 
-def run_checked(make, case):
+def run_checked(make, case, eviction="lru"):
     graph, deps, memory, n_gpus, window, seed, faults = case
     result = simulate(
         graph,
         toy_platform(n_gpus=n_gpus, memory=memory, bandwidth=5.0),
         make(),
+        eviction=eviction,
         window=window,
         seed=seed,
         dependencies=deps,
@@ -438,3 +452,194 @@ class TestSchedulerCachesMatchRecompute:
     ):
         """Releases and ``on_device_lost`` move the pool and buckets."""
         run_checked(make, case)
+
+
+def reference_lru_victim(stamp, candidates):
+    """``LruPolicy.choose_victim`` over a last-touch clock ``stamp``, as
+    it was before the recency-ordered dict."""
+    return min(candidates, key=lambda d: (stamp.get(d, -1), d))
+
+
+def reference_mru_victim(stamp, candidates):
+    """``MruPolicy.choose_victim`` over the same clock, as it was."""
+    return max(candidates, key=lambda d: (stamp.get(d, -1), -d))
+
+
+def reference_luf_victim(policy, candidates):
+    """``LufPolicy.choose_victim`` as it counted ``nb`` and ``np`` for
+    every candidate (its ``_counts`` helper inlined)."""
+    graph = policy.view.graph
+    buffer = policy.view.task_buffer(policy.gpu)
+    planned = (
+        policy.scheduler.planned_tasks(policy.gpu)
+        if policy.scheduler is not None
+        else ()
+    )
+    nb = {d: 0 for d in candidates}
+    np_ = {d: 0 for d in candidates}
+    for t in buffer:
+        for d in graph.inputs_of(t):
+            if d in nb:
+                nb[d] += 1
+    for t in planned:
+        for d in graph.inputs_of(t):
+            if d in np_:
+                np_[d] += 1
+    unused = [d for d in sorted(candidates) if nb[d] == 0]
+    if unused:
+        return min(unused, key=lambda d: (np_[d], d))
+
+    def next_use(d):
+        for offset, t in enumerate(buffer):
+            if d in graph.inputs_of(t):
+                return offset
+        return len(buffer)
+
+    return max(sorted(candidates), key=lambda d: (next_use(d), -d))
+
+
+class _StampClock:
+    """Mixin keeping the last-touch clock the old LRU/MRU kept, beside
+    the recency order, for the reference rules."""
+
+    def __init__(self, gpu, view=None, scheduler=None):
+        super().__init__(gpu, view, scheduler)
+        self.stamp = {}
+        self.clock = 0
+
+    def _touch(self, d):
+        super()._touch(d)
+        self.clock += 1
+        self.stamp[d] = self.clock
+
+    def on_evict(self, data_id):
+        super().on_evict(data_id)
+        self.stamp.pop(data_id, None)
+
+
+class _CheckedLru(_StampClock, LruPolicy):
+    """LRU asserting every victim equals :func:`reference_lru_victim`."""
+
+    def choose_victim(self, candidates):
+        victim = super().choose_victim(candidates)
+        assert victim == reference_lru_victim(self.stamp, candidates)
+        return victim
+
+
+class _ClockedMru(_StampClock, MruPolicy):
+    pass
+
+
+class _CheckedLuf(LufPolicy):
+    """LUF asserting every victim equals :func:`reference_luf_victim`."""
+
+    def choose_victim(self, candidates):
+        victim = super().choose_victim(candidates)
+        assert victim == reference_luf_victim(self, candidates)
+        return victim
+
+
+@st.composite
+def recency_history(draw):
+    """insert/access/evict/victim actions; victims may name data never
+    touched or evicted since (unknown to the policy)."""
+    return draw(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.sampled_from(["insert", "access", "evict"]),
+                    st.integers(0, N_DATA - 1),
+                ),
+                st.tuples(
+                    st.just("victim"),
+                    st.frozensets(st.integers(0, N_DATA - 1), min_size=1),
+                ),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+
+
+@st.composite
+def luf_case(draw):
+    """A graph, a task buffer, a plan and candidates; in about half the
+    draws the candidates are all inputs of the buffer, so the Belady
+    fallback runs."""
+    n_data = draw(st.integers(2, N_DATA))
+    g = TaskGraph()
+    for _ in range(n_data):
+        g.add_data(1.0)
+    for _ in range(draw(st.integers(1, 10))):
+        inputs = draw(
+            st.lists(
+                st.integers(0, n_data - 1), min_size=1, max_size=3, unique=True
+            )
+        )
+        g.add_task(inputs, flops=1.0)
+    tasks = st.integers(0, g.n_tasks - 1)
+    buffer = draw(st.lists(tasks, max_size=4, unique=True))
+    planned = draw(st.lists(tasks, max_size=6, unique=True))
+    used = sorted({d for t in buffer for d in g.inputs_of(t)})
+    pick_from = (
+        used if used and draw(st.booleans()) else list(range(n_data))
+    )
+    candidates = draw(st.frozensets(st.sampled_from(pick_from), min_size=1))
+    with_scheduler = draw(st.booleans())
+    return g, buffer, planned, set(candidates), with_scheduler
+
+
+class TestVictimChoiceMatchesReference:
+    """Victims equal the per-candidate rules, in isolation and in runs."""
+
+    @given(recency_history())
+    @settings(max_examples=200, deadline=None)
+    def test_lru_and_mru_match_reference_over_histories(self, history):
+        lru = _CheckedLru(gpu=0)
+        mru = _ClockedMru(gpu=0)
+        for op, arg in history:
+            if op == "victim":
+                lru.choose_victim(set(arg))
+                assert mru.choose_victim(set(arg)) == reference_mru_victim(
+                    mru.stamp, arg
+                )
+            else:
+                for p in (lru, mru):
+                    getattr(p, "on_" + op)(arg)
+
+    @given(luf_case())
+    @settings(max_examples=300, deadline=None)
+    def test_luf_matches_reference(self, case):
+        graph, buffer, planned, candidates, with_scheduler = case
+        policy = _CheckedLuf(
+            gpu=0,
+            view=FakeView(graph=graph, buffers={0: buffer}),
+            scheduler=(
+                FakeScheduler(planned={0: planned}) if with_scheduler else None
+            ),
+        )
+        assert policy.choose_victim(candidates) in candidates
+
+    @pytest.mark.parametrize("make", [Eager, Dmdar, Darts])
+    @given(case=output_case())
+    @settings(max_examples=25, deadline=None)
+    def test_lru_victims_in_runs_with_outputs(self, make, case):
+        run_checked(make, case, eviction=lambda k, view: _CheckedLru(k, view))
+
+    @pytest.mark.parametrize("make", [Eager, Dmdar, Darts])
+    @given(case=failure_dag_case())
+    @settings(max_examples=20, deadline=None)
+    def test_lru_victims_in_runs_with_device_failure(self, make, case):
+        run_checked(make, case, eviction=lambda k, view: _CheckedLru(k, view))
+
+    @pytest.mark.parametrize("cases", [output_case, failure_dag_case])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_luf_victims_in_darts_runs(self, cases, data):
+        case = data.draw(cases())
+        sched = Darts()
+        run_checked(
+            lambda: sched,
+            case,
+            eviction=lambda k, view: _CheckedLuf(k, view, sched),
+        )
