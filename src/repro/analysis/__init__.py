@@ -1,7 +1,9 @@
 """Post-mortem analysis of simulated runs.
 
-Turns a :class:`repro.simulator.trace.TraceRecorder` into the views one
-uses to *explain* a schedule's performance:
+Reads a run's trace — the typed runtime events
+(:mod:`repro.simulator.events`) a
+:class:`repro.simulator.trace.TraceRecorder` holds, matched by event
+type — into the views one uses to *explain* a schedule's performance:
 
 * :func:`gantt` — per-GPU text timeline of task execution;
 * :func:`bus_utilization` / :func:`gpu_busy_intervals` — how loaded the

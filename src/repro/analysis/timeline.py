@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Type
 
+from repro.simulator import events as ev
 from repro.simulator.trace import TraceRecorder
 
 
@@ -22,27 +23,35 @@ class Interval:
 
 
 def _pair_events(
-    trace: TraceRecorder, start_kind: str, end_kind: str, gpu: int
+    trace: TraceRecorder,
+    start: Type[ev.RuntimeEvent],
+    end: Type[ev.RuntimeEvent],
+    ref: str,
+    gpu: int,
 ) -> List[Interval]:
-    """Pair per-ref start/end events on one GPU, in FIFO order per ref."""
+    """Pair ``start``/``end`` events on one GPU by their ``ref`` field,
+    in FIFO order per ref."""
     open_starts: Dict[int, List[float]] = {}
     intervals: List[Interval] = []
+    e: Any  # every traced event type carries ``time`` and ``gpu``
     for e in trace.events:
-        if e.gpu != gpu:
+        kind = type(e)
+        if (kind is not start and kind is not end) or e.gpu != gpu:
             continue
-        if e.kind == start_kind:
-            open_starts.setdefault(e.ref, []).append(e.time)
-        elif e.kind == end_kind:
-            starts = open_starts.get(e.ref)
+        key = getattr(e, ref)
+        if kind is start:
+            open_starts.setdefault(key, []).append(e.time)
+        else:
+            starts = open_starts.get(key)
             if starts:
-                intervals.append(Interval(starts.pop(0), e.time, e.ref))
+                intervals.append(Interval(starts.pop(0), e.time, key))
     intervals.sort(key=lambda iv: (iv.start, iv.end, iv.ref))
     return intervals
 
 
 def gpu_busy_intervals(trace: TraceRecorder, gpu: int) -> List[Interval]:
     """Task execution intervals on ``gpu`` (ref = task id)."""
-    return _pair_events(trace, "task_start", "task_end", gpu)
+    return _pair_events(trace, ev.TaskStarted, ev.TaskCompleted, "task", gpu)
 
 
 def transfer_intervals(trace: TraceRecorder, gpu: int) -> List[Interval]:
@@ -51,7 +60,7 @@ def transfer_intervals(trace: TraceRecorder, gpu: int) -> List[Interval]:
     Under fair sharing a transfer's span includes time spent at reduced
     bandwidth; the interval is still when the datum occupied the bus.
     """
-    return _pair_events(trace, "fetch_start", "fetch_end", gpu)
+    return _pair_events(trace, ev.FetchIssued, ev.FetchCompleted, "data_id", gpu)
 
 
 def _union_length(intervals: List[Interval]) -> float:
@@ -120,19 +129,26 @@ def memory_timeline(
 ) -> List[Tuple[float, float]]:
     """(time, resident bytes-or-count) steps for ``gpu``.
 
-    Counts data from ``fetch_end`` (space is *reserved* earlier, but the
-    paper's live-set L(k,i) is about resident data).  With ``data_sizes``
-    the second component is bytes; otherwise a datum count.
+    Counts a fetched datum from its :class:`FetchCompleted` (space is
+    *reserved* at issue, but the paper's live-set L(k,i) is about
+    resident data) and an output from its :class:`OutputAllocated` (the
+    producing task writes it in place); a :class:`DeviceFailed` empties
+    the GPU.  With ``data_sizes`` the second component is bytes;
+    otherwise a datum count.
     """
     level = 0.0
     out: List[Tuple[float, float]] = [(0.0, 0.0)]
+    e: Any
     for e in trace.events:
         if e.gpu != gpu:
             continue
-        if e.kind == "fetch_end":
-            level += data_sizes[e.ref] if data_sizes else 1.0
-        elif e.kind == "evict":
-            level -= data_sizes[e.ref] if data_sizes else 1.0
+        kind = type(e)
+        if kind is ev.FetchCompleted or kind is ev.OutputAllocated:
+            level += data_sizes[e.data_id] if data_sizes else 1.0
+        elif kind is ev.Evicted:
+            level -= data_sizes[e.data_id] if data_sizes else 1.0
+        elif kind is ev.DeviceFailed:
+            level = 0.0
         else:
             continue
         out.append((e.time, level))

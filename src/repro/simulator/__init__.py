@@ -26,7 +26,7 @@ from repro.simulator.bus import Bus, FairShareBus, FifoBus, make_bus
 from repro.simulator.events import EventStream, RuntimeEvent
 from repro.simulator.routing import HostRouter, TransferRouter
 from repro.simulator.memory import DataState, DeviceMemory, MemoryFullError
-from repro.simulator.trace import RunResult, TraceEvent, TraceRecorder
+from repro.simulator.trace import RunResult, TraceRecorder
 from repro.simulator.kernel import RuntimeKernel
 from repro.simulator.runtime import Runtime, RuntimeView, SimulationDeadlock, simulate
 
@@ -50,6 +50,5 @@ __all__ = [
     "SimulationDeadlock",
     "simulate",
     "RunResult",
-    "TraceEvent",
     "TraceRecorder",
 ]

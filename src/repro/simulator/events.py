@@ -6,9 +6,7 @@ is published as one immutable :class:`RuntimeEvent` on a single
 :class:`EventStream`.  Trace recording, the invariant sanitizer,
 per-GPU statistics, and any future profiler are plain subscribers; the
 kernel itself subscribes for the few events that drive control flow
-(fetch completion, eviction notification).  This replaces the previous
-design of three duck-typed ``observer`` slots (engine / bus / memory)
-plus ad-hoc ``on_*`` lambdas threaded through five modules.
+(fetch completion, eviction notification).
 
 Dispatch rules (the contract tests in ``tests/simulator/test_events.py``
 pin these down):
@@ -292,21 +290,6 @@ class EventStream:
         for et in event_types or RUNTIME_EVENT_TYPES:
             self._subscribers.setdefault(et, []).append(handler)
 
-    def unsubscribe(
-        self,
-        handler: Callable[[RuntimeEvent], None],
-        *event_types: Type[RuntimeEvent],
-    ) -> None:
-        """Remove every registration of ``handler`` for the given types
-        (all types when none given).  Unknown registrations are ignored."""
-        for et in event_types or RUNTIME_EVENT_TYPES:
-            subs = self._subscribers.get(et)
-            if not subs:
-                continue
-            self._subscribers[et] = [h for h in subs if h is not handler]
-            if not self._subscribers[et]:
-                del self._subscribers[et]
-
     def wants(self, event_type: Type[RuntimeEvent]) -> bool:
         """True when at least one subscriber registered for the type.
 
@@ -331,9 +314,6 @@ class EventStream:
             except Exception as exc:
                 _annotate_dispatch_error(exc, handler, event)
                 raise
-
-    def subscriber_count(self, event_type: Type[RuntimeEvent]) -> int:
-        return len(self._subscribers.get(event_type, ()))
 
 
 def _annotate_dispatch_error(

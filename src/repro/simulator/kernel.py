@@ -22,9 +22,8 @@ Every observable occurrence is published once on a single
 (:class:`StatsCollector`) and the kernel's own control reactions are
 all subscribers.  Registration order is part of the determinism
 contract: sanitizer first (violations fire before anything else
-processes the event), then trace, then stats, then control — this
-reproduces the exact interleaving the pre-refactor runtime hard-coded,
-so same-seed trace digests are byte-identical across the split.
+processes the event), then trace, then stats, then control, so
+same-seed trace digests are byte-identical.
 """
 
 from __future__ import annotations
@@ -194,7 +193,7 @@ class RuntimeKernel:
             HostRouter(self.store_bus) if self.store_bus is not None else None
         )
         self.sizes = [d.size for d in graph.data]
-        self.trace = TraceRecorder(enabled=record_trace)
+        self.trace = TraceRecorder() if record_trace else None
         self.view = RuntimeView(self)
 
         # Output-data extension: produced data are not in host memory
@@ -276,13 +275,13 @@ class RuntimeKernel:
                     )
                 )
 
-        # Subscriber wiring.  Order matters and mirrors the inline call
-        # order of the pre-split runtime: sanitizer checks fire before
+        # Subscriber wiring.  Order matters: sanitizer checks fire before
         # the trace records an event, and the trace records before the
         # kernel's control reactions (scheduler callbacks + pokes) run.
         if self.sanitizer is not None:
             self.sanitizer.subscribe_to(self.events, self.memories)
-        self.trace.subscribe_to(self.events)
+        if self.trace is not None:
+            self.trace.subscribe_to(self.events)
         self._stats_collector = StatsCollector(self.stats)
         self._stats_collector.subscribe_to(self.events)
         self.events.subscribe(self._on_fetch_completed, FetchCompleted)
@@ -318,8 +317,8 @@ class RuntimeKernel:
             prepare_time=self._prepare_time,
             decision_wall_time=self._decision_time,
             virtual_decision_time=self._virtual_decision_time,
-            trace=self.trace if self.trace.enabled else None,
-            trace_digest=self.trace.digest() if self.trace.enabled else None,
+            trace=self.trace,
+            trace_digest=self.trace.digest() if self.trace is not None else None,
             executed_order=self.executed_order,
         )
         for k, mem in enumerate(self.memories):

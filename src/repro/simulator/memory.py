@@ -15,17 +15,17 @@ to avoid.
 Evictions are free in time: the paper's model has read-only inputs, so no
 write-back occurs.
 
-Instrumentation rides the :class:`repro.simulator.events.EventStream`
-passed at construction: :class:`~repro.simulator.events.FetchIssued`,
+The memory publishes :class:`~repro.simulator.events.FetchIssued`,
 :class:`~repro.simulator.events.OutputAllocated`,
 :class:`~repro.simulator.events.FetchCompleted`,
 :class:`~repro.simulator.events.EvictionStarted`,
 :class:`~repro.simulator.events.Evicted` and
-:class:`~repro.simulator.events.MemoryUsageChanged` replace the bespoke
-callback/observer attributes the memory used to carry.  Every publish is
-guarded by :meth:`~repro.simulator.events.EventStream.wants`, so with no
-subscriber the hot fetch path costs one dict lookup — no closure is
-allocated and no call is made.
+:class:`~repro.simulator.events.MemoryUsageChanged` on the
+:class:`repro.simulator.events.EventStream` passed at construction.
+Every publish is guarded by
+:meth:`~repro.simulator.events.EventStream.wants`, so with no subscriber
+the hot fetch path costs one dict lookup — no closure is allocated and
+no call is made.
 """
 
 from __future__ import annotations

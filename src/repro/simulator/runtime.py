@@ -1,13 +1,11 @@
 """StarPU-like runtime driving pluggable schedulers over the simulator.
 
-Compatibility facade.  The runtime used to be one god-class in this
-module; it is now a layered kernel (see :mod:`repro.simulator.kernel`
-for the module map).  :class:`Runtime` keeps the historical constructor
-signature and attribute surface (``engine``, ``memories``, ``workers``,
-``view``, ``trace``, ``sanitizer``…) on top of
-:class:`~repro.simulator.kernel.RuntimeKernel`, so existing callers and
-tests keep working unchanged; :func:`simulate` remains the one-call
-entry point.
+Public facade of the layered kernel (see :mod:`repro.simulator.kernel`
+for the module map): :class:`Runtime` is
+:class:`~repro.simulator.kernel.RuntimeKernel` under its stable name,
+with its attribute surface (``engine``, ``memories``, ``workers``,
+``view``, ``trace``, ``sanitizer``…), and :func:`simulate` is the
+one-call entry point.
 
 Model recap: each GPU runs a worker with a bounded **task buffer** (the
 paper's ``taskBuffer_k``): tasks popped from the scheduler whose input

@@ -4,100 +4,58 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import Any, Dict, List, Optional, Tuple, Type
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.simulator.events import EventStream, RuntimeEvent
+from repro.simulator import events as ev
 
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One timestamped runtime event.
-
-    ``kind`` is one of ``fetch_start``, ``fetch_end``, ``task_start``,
-    ``task_end``, ``evict``, ``store_start``, ``store_end``, or — under
-    fault injection — ``device_failed``, ``task_requeued``,
-    ``replica_lost``, ``xfer_fail``, ``xfer_retry``; ``ref`` is the data
-    id or task id (the GPU index for ``device_failed``).
-    """
-
-    time: float
-    kind: str
-    gpu: int
-    ref: int
+#: digest line kind and ref field per traced event type.  The kind
+#: strings exist only as the digest's line format; recorded types
+#: missing here (``OutputAllocated``) are skipped by the digest.
+DIGEST_LINES: Dict[Type[ev.RuntimeEvent], Tuple[str, str]] = {
+    ev.TaskStarted: ("task_start", "task"),
+    ev.TaskCompleted: ("task_end", "task"),
+    ev.FetchIssued: ("fetch_start", "data_id"),
+    ev.FetchCompleted: ("fetch_end", "data_id"),
+    ev.Evicted: ("evict", "data_id"),
+    ev.WriteBackStarted: ("store_start", "data_id"),
+    ev.WriteBackCompleted: ("store_end", "data_id"),
+    # fault kinds: they occur only under a fault plan, so fault-free
+    # digests never see them
+    ev.DeviceFailed: ("device_failed", "gpu"),
+    ev.TaskRequeued: ("task_requeued", "task"),
+    ev.DataReplicaLost: ("replica_lost", "data_id"),
+    ev.TransferFailed: ("xfer_fail", "data_id"),
+    ev.TransferRetried: ("xfer_retry", "data_id"),
+}
 
 
 class TraceRecorder:
-    """Collects :class:`TraceEvent` records when tracing is enabled."""
+    """The typed runtime events of one run, in publish order."""
 
-    def __init__(self, enabled: bool = False) -> None:
-        self.enabled = enabled
-        self.events: List[TraceEvent] = []
+    def __init__(self) -> None:
+        self.events: List[ev.RuntimeEvent] = []
 
-    def record(self, time: float, kind: str, gpu: int, ref: int) -> None:
-        if self.enabled:
-            self.events.append(TraceEvent(time, kind, gpu, ref))
+    def subscribe_to(self, stream: ev.EventStream) -> None:
+        """Record every traced event type published on ``stream``."""
+        stream.subscribe(self.events.append, ev.OutputAllocated, *DIGEST_LINES)
 
     def digest(self) -> str:
         """SHA-256 over the exact event stream.
 
-        Timestamps are hashed via ``repr`` (full float precision), so two
-        digests are equal iff the traces are bit-identical — the
+        One ``time|kind|gpu|ref`` line per event of a :data:`DIGEST_LINES`
+        type.  Timestamps are hashed via ``repr`` (full float precision),
+        so two digests are equal iff the traces are bit-identical — the
         determinism contract checked by the sanitizer's SAN007 and the
         ``python -m repro.check`` smoke runs.
         """
         h = hashlib.sha256()
+        e: Any  # every digested type carries ``time`` and ``gpu``
         for e in self.events:
-            h.update(f"{e.time!r}|{e.kind}|{e.gpu}|{e.ref}\n".encode())
+            line = DIGEST_LINES.get(type(e))
+            if line is not None:
+                kind, ref = line
+                h.update(f"{e.time!r}|{kind}|{e.gpu}|{getattr(e, ref)}\n".encode())
         return h.hexdigest()
-
-    def subscribe_to(self, stream: "EventStream") -> None:
-        """Record runtime events published on ``stream``.
-
-        Subscribes one handler per event type so the kind mapping is a
-        plain attribute read, not an isinstance chain.  When recording is
-        disabled nothing is subscribed at all: the publishers' ``wants``
-        guards then skip event construction entirely, keeping the fetch
-        hot path free of tracing overhead.
-        """
-        if not self.enabled:
-            return
-        from repro.simulator import events as ev
-
-        def data_kind(kind: str):
-            def handler(e: "RuntimeEvent") -> None:
-                self.record(e.time, kind, e.gpu, e.data_id)  # type: ignore[attr-defined]
-
-            return handler
-
-        def task_kind(kind: str):
-            def handler(e: "RuntimeEvent") -> None:
-                self.record(e.time, kind, e.gpu, e.task)  # type: ignore[attr-defined]
-
-            return handler
-
-        stream.subscribe(task_kind("task_start"), ev.TaskStarted)
-        stream.subscribe(task_kind("task_end"), ev.TaskCompleted)
-        stream.subscribe(data_kind("fetch_start"), ev.FetchIssued)
-        stream.subscribe(data_kind("fetch_end"), ev.FetchCompleted)
-        stream.subscribe(data_kind("evict"), ev.Evicted)
-        stream.subscribe(data_kind("store_start"), ev.WriteBackStarted)
-        stream.subscribe(data_kind("store_end"), ev.WriteBackCompleted)
-        # Fault-injection kinds.  These events only occur under a fault
-        # plan, so subscribing them never perturbs fault-free digests;
-        # under a plan they make recovery part of the SAN007 contract.
-
-        def device_failed(e: "RuntimeEvent") -> None:
-            self.record(e.time, "device_failed", e.gpu, e.gpu)  # type: ignore[attr-defined]
-
-        stream.subscribe(device_failed, ev.DeviceFailed)
-        stream.subscribe(task_kind("task_requeued"), ev.TaskRequeued)
-        stream.subscribe(data_kind("replica_lost"), ev.DataReplicaLost)
-        stream.subscribe(data_kind("xfer_fail"), ev.TransferFailed)
-        stream.subscribe(data_kind("xfer_retry"), ev.TransferRetried)
-
-    def of_kind(self, kind: str) -> List[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
 
 
 @dataclass

@@ -11,15 +11,17 @@ from repro.analysis.timeline import (
     overlap_fraction,
     transfer_intervals,
 )
+from repro.platform.spec import tesla_v100_node
 from repro.schedulers.eager import Eager
-from repro.simulator.runtime import simulate
+from repro.schedulers.registry import make_scheduler
+from repro.simulator.runtime import Runtime, simulate
 from repro.simulator.trace import TraceRecorder
 
 from tests.conftest import toy_platform
+from tests.integration.test_decision_pins import CASES
 
 
 def traced_run(graph, **kw):
-    kw.setdefault("record_trace", True)
     return simulate(graph, toy_platform(**{k: v for k, v in kw.items()
                                            if k in ("n_gpus", "memory",
                                                     "bandwidth", "gflops")}),
@@ -78,7 +80,7 @@ class TestUtilization:
         assert 0.0 <= f <= 1.0
 
     def test_overlap_is_one_without_transfers(self):
-        trace = TraceRecorder(enabled=True)
+        trace = TraceRecorder()
         assert overlap_fraction(trace, 0) == 1.0
 
 
@@ -100,3 +102,33 @@ class TestMemoryTimeline:
         r = traced_run(figure1_graph, memory=2.0)
         times = [t for t, _ in memory_timeline(r.trace, 0)]
         assert times == sorted(times)
+
+
+class TestMemoryTimelineMatchesResidency:
+    """Outputs count from their allocation and a failed GPU ends empty,
+    so the last level is what the GPU holds."""
+
+    @pytest.mark.parametrize("scheduler", ["eager", "dmdar"])
+    @pytest.mark.parametrize(
+        "case", ["mm2d16-outputs", "cholesky-dag10-faults"]
+    )
+    def test_final_level_is_resident_bytes(self, scheduler, case):
+        graph, deps, n_gpus, memory, faults = CASES[case]()
+        sched, eviction = make_scheduler(scheduler)
+        rt = Runtime(
+            graph,
+            tesla_v100_node(n_gpus, memory_bytes=memory),
+            sched,
+            eviction=eviction,
+            seed=1,
+            dependencies=deps,
+            faults=faults,
+            record_trace=True,
+        )
+        result = rt.run()
+        sizes = [d.size for d in graph.data]
+        for k in range(n_gpus):
+            levels = [lvl for _, lvl in memory_timeline(result.trace, k, sizes)]
+            assert min(levels) >= 0.0, f"gpu {k}"
+            resident = sum(sizes[d] for d in rt.memories[k].present_set())
+            assert levels[-1] == pytest.approx(resident), f"gpu {k}"

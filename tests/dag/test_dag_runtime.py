@@ -6,6 +6,7 @@ from repro.core.problem import TaskGraph
 from repro.dag.deps import DependencySet
 from repro.dag.workloads import cholesky_dag
 from repro.schedulers.registry import make_scheduler
+from repro.simulator.events import TaskCompleted, TaskStarted
 from repro.simulator.runtime import simulate
 from repro.workloads.randomgraph import random_bipartite
 
@@ -65,9 +66,15 @@ class TestExecutionOrder:
             record_trace=True,
         )
         starts = {
-            e.ref: e.time for e in result.trace.of_kind("task_start")
+            e.task: e.time
+            for e in result.trace.events
+            if type(e) is TaskStarted
         }
-        ends = {e.ref: e.time for e in result.trace.of_kind("task_end")}
+        ends = {
+            e.task: e.time
+            for e in result.trace.events
+            if type(e) is TaskCompleted
+        }
         assert starts[1] >= ends[0] - 1e-9
         assert starts[2] >= ends[0] - 1e-9
         assert starts[3] >= max(ends[1], ends[2]) - 1e-9

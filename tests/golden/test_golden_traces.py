@@ -17,6 +17,7 @@ strategies' executions drifted).
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ from repro.platform.spec import tesla_v100_node
 from repro.schedulers.registry import make_scheduler
 from repro.simulator.sanitizer import check_determinism
 from repro.simulator.runtime import simulate
-from repro.simulator.trace import TraceEvent, TraceRecorder
+from repro.simulator.trace import DIGEST_LINES, TraceRecorder
 from repro.workloads.matmul2d import matmul2d
 
 GOLDEN_DIR = Path(__file__).resolve().parent
@@ -132,24 +133,20 @@ def test_one_event_perturbation_changes_digest():
     baseline = result.trace.digest()
 
     mid = len(result.trace.events) // 2
-    for field, delta in (
-        ("time", 1e-9),
-        ("gpu", 1),
-        ("ref", 1),
+    e = result.trace.events[mid]
+    ref = DIGEST_LINES[type(e)][1]
+    for changes in (
+        {"time": e.time + 1e-9},
+        {"gpu": e.gpu + 1},
+        {ref: getattr(e, ref) + 1},
     ):
-        perturbed = TraceRecorder(enabled=True)
+        perturbed = TraceRecorder()
         perturbed.events = list(result.trace.events)
-        e = perturbed.events[mid]
-        perturbed.events[mid] = TraceEvent(
-            time=e.time + (delta if field == "time" else 0),
-            kind=e.kind,
-            gpu=e.gpu + (delta if field == "gpu" else 0),
-            ref=e.ref + (delta if field == "ref" else 0),
-        )
-        assert perturbed.digest() != baseline, field
+        perturbed.events[mid] = replace(e, **changes)
+        assert perturbed.digest() != baseline, changes
 
     # and dropping the event entirely is caught too
-    truncated = TraceRecorder(enabled=True)
+    truncated = TraceRecorder()
     truncated.events = (
         list(result.trace.events[:mid]) + list(result.trace.events[mid + 1:])
     )

@@ -9,6 +9,7 @@ from repro.core.problem import TaskGraph
 from repro.dag.deps import DependencySet
 from repro.platform.spec import BusSpec, GpuSpec, PlatformSpec
 from repro.schedulers.registry import make_scheduler
+from repro.simulator.events import TaskCompleted, TaskStarted
 from repro.simulator.runtime import simulate
 from repro.workloads.randomgraph import random_bipartite
 
@@ -81,8 +82,16 @@ class TestDagProperties:
         )
         executed = sorted(t for o in result.executed_order for t in o)
         assert executed == list(range(graph.n_tasks))
-        starts = {e.ref: e.time for e in result.trace.of_kind("task_start")}
-        ends = {e.ref: e.time for e in result.trace.of_kind("task_end")}
+        starts = {
+            e.task: e.time
+            for e in result.trace.events
+            if type(e) is TaskStarted
+        }
+        ends = {
+            e.task: e.time
+            for e in result.trace.events
+            if type(e) is TaskCompleted
+        }
         for succ in range(graph.n_tasks):
             for pred in deps.preds[succ]:
                 assert starts[succ] >= ends[pred] - 1e-9

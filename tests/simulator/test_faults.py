@@ -19,6 +19,13 @@ from hypothesis import strategies as st
 
 from repro.schedulers.ready import ReadyLists
 from repro.schedulers.registry import make_scheduler
+from repro.simulator.events import (
+    DataReplicaLost,
+    DeviceFailed,
+    TaskCompleted,
+    TransferFailed,
+    TransferRetried,
+)
 from repro.simulator.faults import (
     DeviceFailure,
     FaultPlan,
@@ -183,10 +190,10 @@ class TestRecovery:
             seed=2, device_failures=(DeviceFailure(gpu=1, time=t_fail),)
         )
         faulted = run(name, graph, platform, faults=plan, record_trace=True)
-        kinds = [e.kind for e in faulted.trace.events]
-        assert "device_failed" in kinds
+        kinds = [type(e) for e in faulted.trace.events]
+        assert DeviceFailed in kinds
         for e in faulted.trace.events:
-            if e.kind == "task_end" and e.gpu == 1:
+            if type(e) is TaskCompleted and e.gpu == 1:
                 assert e.time <= t_fail + 1e-9
 
     def test_failure_publishes_recovery_events(self):
@@ -200,9 +207,9 @@ class TestRecovery:
             ),
         )
         faulted = run("dmdar", graph, platform, faults=plan, record_trace=True)
-        kinds = {e.kind for e in faulted.trace.events}
-        assert "device_failed" in kinds
-        assert "replica_lost" in kinds  # GPU 1 held replicas mid-run
+        kinds = {type(e) for e in faulted.trace.events}
+        assert DeviceFailed in kinds
+        assert DataReplicaLost in kinds  # GPU 1 held replicas mid-run
 
     def test_corruption_retries_are_traced_and_slow_the_run(self):
         graph = small_graph()
@@ -212,8 +219,8 @@ class TestRecovery:
             seed=9, transfer_faults=TransferCorruption(probability=0.4)
         )
         faulted = run("eager", graph, platform, faults=plan, record_trace=True)
-        kinds = [e.kind for e in faulted.trace.events]
-        assert kinds.count("xfer_retry") == kinds.count("xfer_fail") > 0
+        kinds = [type(e) for e in faulted.trace.events]
+        assert kinds.count(TransferRetried) == kinds.count(TransferFailed) > 0
         assert faulted.makespan >= base.makespan
 
     def test_straggler_stretches_the_makespan(self):

@@ -6,6 +6,7 @@ import pytest
 from repro.core.problem import TaskGraph
 from repro.dag.deps import DependencySet
 from repro.schedulers.registry import make_scheduler
+from repro.simulator.events import FetchIssued, WriteBackCompleted
 from repro.simulator.runtime import simulate
 
 from tests.conftest import toy_platform
@@ -83,13 +84,14 @@ class TestRuntimeSemantics:
         )
         assert result.executed_order == [[0], [1]]
         store_end = [
-            e.time for e in result.trace.events if e.kind == "store_end"
-            and e.ref == 1
+            e.time
+            for e in result.trace.events
+            if type(e) is WriteBackCompleted and e.data_id == 1
         ][0]
         fetch_start = [
             e.time
             for e in result.trace.events
-            if e.kind == "fetch_start" and e.gpu == 1 and e.ref == 1
+            if type(e) is FetchIssued and e.gpu == 1 and e.data_id == 1
         ][0]
         assert fetch_start >= store_end - 1e-9
 

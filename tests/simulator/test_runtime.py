@@ -1,10 +1,18 @@
 """Integration tests for the StarPU-like runtime."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.schedule import Schedule
 from repro.schedulers.eager import Eager
 from repro.schedulers.fixed import FixedSchedule
+from repro.simulator.events import (
+    Evicted,
+    FetchCompleted,
+    TaskCompleted,
+    TaskStarted,
+)
 from repro.simulator.runtime import Runtime, simulate
 from repro.workloads.matmul2d import matmul2d
 from repro.workloads.randomgraph import random_bipartite
@@ -139,10 +147,11 @@ class TestTraceAndStats:
         )
         trace = result.trace
         assert trace is not None
-        assert len(trace.of_kind("task_start")) == 9
-        assert len(trace.of_kind("task_end")) == 9
-        assert len(trace.of_kind("fetch_end")) == result.total_loads
-        assert len(trace.of_kind("evict")) == result.total_evictions
+        kinds = Counter(type(e) for e in trace.events)
+        assert kinds[TaskStarted] == 9
+        assert kinds[TaskCompleted] == 9
+        assert kinds[FetchCompleted] == result.total_loads
+        assert kinds[Evicted] == result.total_evictions
 
     def test_trace_disabled_by_default(self, figure1_graph):
         result = simulate(figure1_graph, toy_platform(memory=2.0), Eager())
@@ -155,7 +164,9 @@ class TestTraceAndStats:
             Eager(),
             record_trace=True,
         )
-        times = [e.time for e in result.trace.of_kind("task_end")]
+        times = [
+            e.time for e in result.trace.events if type(e) is TaskCompleted
+        ]
         assert times == sorted(times)
 
     def test_busy_time_le_makespan(self, figure1_graph):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.problem import TaskGraph
 from repro.schedulers.eager import Eager
+from repro.simulator.events import TaskCompleted, TaskStarted
 from repro.simulator.runtime import Runtime, simulate
 from repro.workloads.matmul2d import matmul2d
 from repro.workloads.randomgraph import random_bipartite
@@ -26,8 +27,16 @@ class TestAdmissionStaging:
         )
         assert result.gpus[0].n_tasks == 2
         # tasks cannot overlap their data: second starts after first ends
-        starts = {e.ref: e.time for e in result.trace.of_kind("task_start")}
-        ends = {e.ref: e.time for e in result.trace.of_kind("task_end")}
+        starts = {
+            e.task: e.time
+            for e in result.trace.events
+            if type(e) is TaskStarted
+        }
+        ends = {
+            e.task: e.time
+            for e in result.trace.events
+            if type(e) is TaskCompleted
+        }
         assert starts[1] >= ends[0] - 1e-9
 
     def test_exact_fit_footprints_share_buffer(self):
@@ -56,9 +65,9 @@ class TestBookkeeping:
         )
         for k in range(2):
             ends = [
-                e.ref
-                for e in result.trace.of_kind("task_end")
-                if e.gpu == k
+                e.task
+                for e in result.trace.events
+                if type(e) is TaskCompleted and e.gpu == k
             ]
             assert ends == result.executed_order[k]
 
@@ -83,7 +92,9 @@ class TestBookkeeping:
             Eager(),
             record_trace=True,
         )
-        last_end = max(e.time for e in result.trace.of_kind("task_end"))
+        last_end = max(
+            e.time for e in result.trace.events if type(e) is TaskCompleted
+        )
         assert result.makespan == pytest.approx(last_end)
 
 
